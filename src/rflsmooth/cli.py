@@ -122,9 +122,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_mc(args) -> int:
     config_path, doc = _load(args)
-    compact, sol, _, _ = _solution(doc, args)
     cfg = sim_from_config(doc, runs=args.runs, master_seed=args.seed,
                           estimator=args.estimator)
+    compact, sol, _, _ = _solution(doc, args)
     def progress(done, total):
         print(f"\r{done}/{total} runs", end="", file=sys.stderr, flush=True)
     report = monte_carlo(cfg, sol, progress=progress, keep_errors=args.save_errors)
@@ -140,7 +140,7 @@ def cmd_mc(args) -> int:
         with open(err_path, "w", encoding="utf-8") as fh:
             fh.write("run_error\n")
             for e in report.errors:
-                fh.write(f"{e!r}\n")
+                fh.write(f"{float(e)!r}\n")
         artifacts.append(err_path)
     _write_manifest(out_dir, "mc", config_path, cfg.master_seed, artifacts)
     print(f"error covariance = {report.error_covariance:.6g} "

@@ -136,6 +136,10 @@ def sim_from_config(doc: dict, **overrides) -> SimConfig:
         cfg.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[simulation] invalid: {exc}") from exc
+    lag = doc.get("delay", {}).get("delta")
+    if "delta" in sec and lag is not None and cfg.delta != lag:
+        raise ConfigError(f"[simulation] delta = {cfg.delta!r} is not the synthesized "
+                          f"lag [delay] delta = {lag!r}")
     return cfg
 
 

@@ -160,6 +160,8 @@ class CompactPlant:
     nu_1..nu_g, nu~_1..nu~_g].  Bp1w is the noise input matrix against the
     augmented (q+g)-dimensional Wiener process, whose trailing g fictitious
     components regularize the estimator-copy measurement channel.
+    M_stack and N_stack hold the constant IQC multiplier terms, one per
+    scaling entry: M(lambda) = sum_j lambda_j M_stack[j], likewise N.
     """
 
     aug: AugmentedPlant
@@ -173,6 +175,8 @@ class CompactPlant:
     J21: np.ndarray
     Bp1w: np.ndarray
     d0: float
+    M_stack: np.ndarray
+    N_stack: np.ndarray
 
     @property
     def plant(self) -> UncertainPlant:
@@ -305,6 +309,27 @@ def _construct_j(stack_lhs: np.ndarray, stack_rhs: np.ndarray, tol: float = 1e-8
     return j
 
 
+def _multiplier_stacks(plant: UncertainPlant, r: int, h: int):
+    """Multiplier terms in lambda order: one per uncertainty channel, then per
+    nonlinearity the difference (mu - mu~)^2 <= beta^2 (nu - nu~)^2, plant and copy bounds."""
+    k, g = plant.k, plant.g
+    m_stack = np.zeros((k + 3 * g, r + 2 * g, r + 2 * g))
+    n_stack = np.zeros((k + 3 * g, h + 2 * g, h + 2 * g))
+    r_off, h_off = np.cumsum((0,) + plant.r_s), np.cumsum((0,) + plant.h_s)
+    for s in range(k):
+        m_stack[s, r_off[s]:r_off[s + 1], r_off[s]:r_off[s + 1]] = np.eye(plant.r_s[s])
+        n_stack[s, h_off[s]:h_off[s + 1], h_off[s]:h_off[s + 1]] = np.eye(plant.h_s[s])
+    diff = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for i in range(g):
+        b2 = plant.beta[i] * plant.beta[i]
+        mu, mut, nu, nut = r + i, r + g + i, h + i, h + g + i
+        m_stack[k + i][np.ix_([mu, mut], [mu, mut])] = diff
+        n_stack[k + i][np.ix_([nu, nut], [nu, nut])] = b2 * diff
+        m_stack[k + g + i, mu, mu], n_stack[k + g + i, nu, nu] = 1.0, b2
+        m_stack[k + 2 * g + i, mut, mut], n_stack[k + 2 * g + i, nut, nut] = 1.0, b2
+    return m_stack, n_stack
+
+
 def build_compact(aug: AugmentedPlant, j21: np.ndarray = None, d0: float = 1e-9) -> CompactPlant:
     """Stack the augmented plant into the compact synthesis form.
 
@@ -376,7 +401,8 @@ def build_compact(aug: AugmentedPlant, j21: np.ndarray = None, d0: float = 1e-9)
         )
 
     j = _construct_j(np.vstack([bp1w, db21]), np.vstack([bt1, dt21]))
+    m_stack, n_stack = _multiplier_stacks(plant, r, h)
     return CompactPlant(
         aug=aug, Bt1=bt1, Ct1=ct1, Dt12=dt12, Ct2=ct2, Dt21=dt21,
-        Db21=db21, J=j, J21=j21, Bp1w=bp1w, d0=d0,
+        Db21=db21, J=j, J21=j21, Bp1w=bp1w, d0=d0, M_stack=m_stack, N_stack=n_stack,
     )

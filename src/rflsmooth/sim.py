@@ -76,8 +76,9 @@ class SimConfig:
         ratio = self.delta / self.dt
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
             raise ValueError("delta must be an integer multiple of dt")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
+        for key in ("runs", "batch", "chunk"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
         if self.estimator not in ("smoother", "ngcf"):
             raise ValueError(f"unknown estimator mode {self.estimator!r}")
         if self.compare not in ("delayed", "undelayed"):

@@ -22,6 +22,11 @@ complement of the stacked cost form), so a stabilizing PSD solution exists
 whenever Ap is Hurwitz.  With no uncertainty channels (ktilde = 0) the
 scaled noise products fall back to the physical ones and the filter Riccati
 reduces to the standard Kalman form.
+
+A scaling point is evaluated once: `_point_terms` forms its multipliers
+(from the term stacks `build_compact` precomputes), feasibility margin,
+M^-1, scaled noise and cost weights, which both Riccati solves read, and
+`compute_gains` and `cost_bound` share one coupling/gain/bound tail.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -120,86 +126,42 @@ class SynthesisSolution:
 
 
 def assemble_multipliers(compact: CompactPlant, lam: np.ndarray) -> MultiplierPair:
-    """Build M(lambda), N(lambda) from the four constraint families:
-    one per uncertainty channel, then per nonlinearity the difference,
-    plant, and estimator-copy bounds."""
-    plant = compact.plant
-    k, g = plant.k, plant.g
+    """Build M(lambda), N(lambda) from the plant's constant term stacks
+    (see `CompactPlant.M_stack`): one term per uncertainty channel,
+    then per nonlinearity the difference, plant, and estimator-copy bounds."""
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if lam.size != compact.ktilde:
         raise ValueError(f"lambda must have length {compact.ktilde}, got {lam.size}")
+    # an elementwise product summed in term order: a BLAS contraction
+    # (tensordot) may fuse multiply-adds and move the last bit when beta != 1
+    w = lam[:, None, None]
+    return MultiplierPair(
+        M=(w * compact.M_stack).sum(axis=0), N=(w * compact.N_stack).sum(axis=0),
+        M_terms=tuple(compact.M_stack), N_terms=tuple(compact.N_stack),
+    )
 
-    nin = compact.r + 2 * g
-    nout = compact.h + 2 * g
-    m_terms, n_terms = [], []
 
-    r_off = np.concatenate([[0], np.cumsum(plant.r_s)]).astype(int)
-    h_off = np.concatenate([[0], np.cumsum(plant.h_s)]).astype(int)
-    for s in range(k):
-        mt = np.zeros((nin, nin))
-        sl = slice(r_off[s], r_off[s + 1])
-        mt[sl, sl] = np.eye(plant.r_s[s])
-        nt = np.zeros((nout, nout))
-        sl = slice(h_off[s], h_off[s + 1])
-        nt[sl, sl] = np.eye(plant.h_s[s])
-        m_terms.append(mt)
-        n_terms.append(nt)
-
-    def rank_one(size, coeffs):
-        v = np.zeros(size)
-        for idx, c in coeffs:
-            v[idx] = c
-        return np.outer(v, v)
-
-    for i in range(g):
-        b2 = plant.beta[i]
-        mu, mut = compact.r + i, compact.r + g + i
-        nu, nut = compact.h + i, compact.h + g + i
-        # difference bound: (mu - mu~)^2 <= beta^2 (nu - nu~)^2
-        m_terms.append(rank_one(nin, [(mu, 1.0), (mut, -1.0)]))
-        n_terms.append(rank_one(nout, [(nu, b2), (nut, -b2)]))
-    for i in range(g):
-        b2 = plant.beta[i]
-        m_terms.append(rank_one(nin, [(compact.r + i, 1.0)]))
-        n_terms.append(rank_one(nout, [(compact.h + i, b2)]))
-    for i in range(g):
-        b2 = plant.beta[i]
-        m_terms.append(rank_one(nin, [(compact.r + g + i, 1.0)]))
-        n_terms.append(rank_one(nout, [(compact.h + g + i, b2)]))
-
-    m = sum(w * t for w, t in zip(lam, m_terms)) if m_terms else np.zeros((nin, nin))
-    n = sum(w * t for w, t in zip(lam, n_terms)) if n_terms else np.zeros((nout, nout))
-    return MultiplierPair(M=m, N=n, M_terms=tuple(m_terms), N_terms=tuple(n_terms))
+def _admissibility(compact: CompactPlant, lam: np.ndarray):
+    """(margin, multipliers, M^-1) of lambda; the margin is -inf for a bad
+    lambda or M not PD, and what is not formed on the way is None."""
+    if compact.ktilde == 0:
+        return math.inf, None, None
+    if lam.size != compact.ktilde or np.any(lam < 0):
+        return -math.inf, None, None
+    mult = assemble_multipliers(compact, lam)
+    if np.linalg.eigvalsh(mult.M).min() <= 0:
+        return -math.inf, mult, None
+    minv = np.linalg.inv(mult.M)
+    gap = minv - compact.J @ compact.J.T
+    return float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()), mult, minv
 
 
 def feasible(compact: CompactPlant, point: ScalingPoint):
     """Admissibility of a scaling point: lambda >= 0, M(lambda) > 0 and
     M(lambda)^-1 >= J J'.  Returns (bool, margin) where the margin is the
     smallest eigenvalue of M^-1 - J J' (or -inf when M is not PD)."""
-    if compact.ktilde == 0:
-        return True, math.inf
-    lam = point.lam
-    if lam.size != compact.ktilde or np.any(lam < 0):
-        return False, -math.inf
-    mult = assemble_multipliers(compact, lam)
-    eig_m = np.linalg.eigvalsh(mult.M)
-    if eig_m.min() <= 0:
-        return False, -math.inf
-    gap = np.linalg.inv(mult.M) - compact.J @ compact.J.T
-    margin = float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min())
+    margin = _admissibility(compact, point.lam)[0]
     return margin >= 0, margin
-
-
-def _scaled_noise(compact: CompactPlant, mult: MultiplierPair):
-    """Scaled noise products (Wxx, Wxy, E) = (Bt1 M^-1 Bt1', Bt1 M^-1 Dt21',
-    Dt21 M^-1 Dt21'); physical products when there is no uncertainty channel."""
-    if compact.ktilde == 0:
-        bw, dw = compact.Bp1w, compact.Db21
-        return bw @ bw.T, bw @ dw.T, dw @ dw.T
-    minv = np.linalg.inv(mult.M)
-    bm = compact.Bt1 @ minv
-    dm = compact.Dt21 @ minv
-    return bm @ compact.Bt1.T, bm @ compact.Dt21.T, dm @ compact.Dt21.T
 
 
 def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPair = None,
@@ -224,13 +186,67 @@ def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPai
     return r, gmat, gam
 
 
-def _require_feasible(compact, point):
-    ok, margin = feasible(compact, point)
-    if not ok:
+@dataclass(frozen=True)
+class _PointTerms:
+    """Scaled noise (Wxx, Wxy, E) and cost weights (R, G, Gam) of one scaling point."""
+
+    wxx: np.ndarray
+    wxy: np.ndarray
+    e: np.ndarray
+    r: np.ndarray
+    gmat: np.ndarray
+    gam: np.ndarray
+
+    @cached_property
+    def einv(self) -> np.ndarray:
+        return np.linalg.inv(self.e)
+
+
+def _point_terms(compact: CompactPlant, point: ScalingPoint, delayed_target: bool,
+                 enforce: bool = True) -> _PointTerms:
+    """A scaling point's terms; with `enforce`, an inadmissible point raises
+    InfeasibleError first.  Without uncertainty channels the noise is physical."""
+    margin, mult, minv = _admissibility(compact, point.lam)
+    if enforce and not margin >= 0:
         raise InfeasibleError(
             f"scaling point is infeasible (margin {margin:.3e})", margin=margin
         )
-    return margin
+    if mult is None:
+        mult = assemble_multipliers(compact, point.lam)
+    if compact.ktilde == 0:
+        bw, dw = compact.Bp1w, compact.Db21
+        wxx, wxy, e = bw @ bw.T, bw @ dw.T, dw @ dw.T
+    else:
+        if minv is None:
+            minv = np.linalg.inv(mult.M)
+        bm, dm = compact.Bt1 @ minv, compact.Dt21 @ minv
+        wxx, wxy, e = bm @ compact.Bt1.T, bm @ compact.Dt21.T, dm @ compact.Dt21.T
+    return _PointTerms(wxx, wxy, e, *cost_weights(compact, point, mult, delayed_target))
+
+
+def _solve_filter(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
+    at = compact.aug.Ap - t.wxy @ t.einv @ compact.Ct2
+    s = -(compact.Ct2.T @ t.einv @ compact.Ct2 - t.r / point.tau)
+    w = t.wxx - t.wxy @ t.einv @ t.wxy.T
+    sol = solve_care(RiccatiProblem(a=at.T, q=0.5 * (w + w.T), s=0.5 * (s + s.T)))
+    if np.linalg.eigvalsh(sol.x).min() <= 0:
+        raise InfeasibleError(
+            "filter Riccati solution is not positive definite at this scaling point"
+        )
+    return sol.x, sol.residual
+
+
+def _solve_control(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
+    if np.linalg.eigvalsh(0.5 * (t.gmat + t.gmat.T)).min() <= 0:
+        raise InfeasibleError("cost weight G is singular at this scaling point")
+    q = t.r - t.gam @ np.linalg.solve(t.gmat, t.gam.T)
+    s = -t.wxx / point.tau
+    sol = solve_care(RiccatiProblem(a=compact.aug.Ap, q=0.5 * (q + q.T), s=0.5 * (s + s.T)))
+    if np.linalg.eigvalsh(sol.x).min() < -1e-10 * (1.0 + np.linalg.norm(sol.x)):
+        raise InfeasibleError(
+            "estimation-cost Riccati solution is not positive semidefinite"
+        )
+    return sol.x, sol.residual
 
 
 def filter_riccati(compact: CompactPlant, point: ScalingPoint,
@@ -240,90 +256,59 @@ def filter_riccati(compact: CompactPlant, point: ScalingPoint,
     Raises InfeasibleError when the point is inadmissible or the equation
     has no stabilizing positive-definite solution.
     """
-    _require_feasible(compact, point)
-    mult = assemble_multipliers(compact, point.lam)
-    wxx, wxy, e = _scaled_noise(compact, mult)
-    r, _, _ = cost_weights(compact, point, mult, delayed_target)
-    einv = np.linalg.inv(e)
-    ap = compact.aug.Ap
-    at = ap - wxy @ einv @ compact.Ct2
-    s = -(compact.Ct2.T @ einv @ compact.Ct2 - r / point.tau)
-    w = wxx - wxy @ einv @ wxy.T
-    sol = solve_care(RiccatiProblem(a=at.T, q=0.5 * (w + w.T), s=0.5 * (s + s.T)))
-    y = sol.x
-    if np.linalg.eigvalsh(y).min() <= 0:
-        raise InfeasibleError(
-            "filter Riccati solution is not positive definite at this scaling point"
-        )
-    return y, sol.residual
+    return _solve_filter(compact, point, _point_terms(compact, point, delayed_target))
 
 
 def control_riccati(compact: CompactPlant, point: ScalingPoint,
                     delayed_target: bool = False):
     """Solve the estimation-cost Riccati equation; returns (X, residual)."""
-    _require_feasible(compact, point)
-    mult = assemble_multipliers(compact, point.lam)
-    wxx, _, _ = _scaled_noise(compact, mult)
-    r, gmat, gam = cost_weights(compact, point, mult, delayed_target)
-    if np.linalg.eigvalsh(0.5 * (gmat + gmat.T)).min() <= 0:
-        raise InfeasibleError("cost weight G is singular at this scaling point")
-    q = r - gam @ np.linalg.solve(gmat, gam.T)
-    s = -wxx / point.tau
-    sol = solve_care(RiccatiProblem(a=compact.aug.Ap, q=0.5 * (q + q.T), s=0.5 * (s + s.T)))
-    x = sol.x
-    if np.linalg.eigvalsh(x).min() < -1e-10 * (1.0 + np.linalg.norm(x)):
-        raise InfeasibleError(
-            "estimation-cost Riccati solution is not positive semidefinite"
-        )
-    return x, sol.residual
+    return _solve_control(compact, point, _point_terms(compact, point, delayed_target))
 
 
 def _residual_threshold(x):
     return 1e-8 * (1.0 + np.linalg.norm(x, "fro") ** 2)
 
 
-def compute_gains(compact: CompactPlant, point: ScalingPoint,
-                  y: np.ndarray = None, x: np.ndarray = None,
-                  residuals=(0.0, 0.0), delayed_target: bool = False) -> SynthesisSolution:
-    """Assemble the estimator matrices Ac, Bc~, Cc~ and the cost bound.
-
-    Solves both Riccati equations unless Y, X are supplied.  Enforces the
-    coupling condition rho(Y X) < tau and the residual thresholds before
-    emitting any gain.
-    """
-    if y is None:
-        y, res_y = filter_riccati(compact, point, delayed_target)
-    else:
-        res_y = residuals[0]
-    if x is None:
-        x, res_x = control_riccati(compact, point, delayed_target)
-    else:
-        res_x = residuals[1]
-    if res_y > _residual_threshold(y):
-        raise NumericalError(f"filter Riccati residual {res_y:.3e} above threshold")
-    if res_x > _residual_threshold(x):
-        raise NumericalError(f"cost Riccati residual {res_x:.3e} above threshold")
-
-    tau = point.tau
+def _coupling(y, x, tau):
+    """rho(Y X), which must stay below tau."""
     rho = spectral_radius(y @ x)
     if rho >= tau:
         raise CouplingError(
             f"coupling condition violated: rho(YX) = {rho:.6e} >= tau = {tau:.6e}",
             rho=rho, tau=tau,
         )
+    return rho
 
-    mult = assemble_multipliers(compact, point.lam)
-    _, wxy, e = _scaled_noise(compact, mult)
-    r, gmat, gam = cost_weights(compact, point, mult, delayed_target)
-    einv = np.linalg.inv(e)
-    n = compact.n
-    corr = np.linalg.inv(np.eye(n) - (y @ x) / tau)
 
-    bc = (y @ compact.Ct2.T + wxy) @ einv
-    cc = -np.linalg.solve(gmat, gam.T) @ corr
-    ac = (compact.aug.Ap + (y @ r) / tau - bc @ compact.Ct2
-          - (y @ gam @ np.linalg.solve(gmat, gam.T) @ corr) / tau)
-    v = _bound_from_parts(y, x, r, bc, e, corr)
+def _bound_tail(compact: CompactPlant, t: _PointTerms, y, x, tau):
+    """Measurement gain Bc~, coupling correction (I - YX/tau)^-1 and V_tau."""
+    corr = np.linalg.inv(np.eye(compact.n) - (y @ x) / tau)
+    bc = (y @ compact.Ct2.T + t.wxy) @ t.einv
+    v = float(0.5 * np.trace(y @ t.r + bc @ t.e @ bc.T @ x @ corr))
+    return bc, corr, v
+
+
+def compute_gains(compact: CompactPlant, point: ScalingPoint,
+                  delayed_target: bool = False) -> SynthesisSolution:
+    """Solve both Riccati equations and assemble the estimator matrices
+    Ac, Bc~, Cc~ and the cost bound.  Enforces admissibility, the residual
+    thresholds and the coupling condition rho(Y X) < tau, in that order.
+    """
+    terms = _point_terms(compact, point, delayed_target)
+    y, res_y = _solve_filter(compact, point, terms)
+    x, res_x = _solve_control(compact, point, terms)
+    if res_y > _residual_threshold(y):
+        raise NumericalError(f"filter Riccati residual {res_y:.3e} above threshold")
+    if res_x > _residual_threshold(x):
+        raise NumericalError(f"cost Riccati residual {res_x:.3e} above threshold")
+
+    tau = point.tau
+    rho = _coupling(y, x, tau)
+    bc, corr, v = _bound_tail(compact, terms, y, x, tau)
+    g_gam = np.linalg.solve(terms.gmat, terms.gam.T)
+    cc = -g_gam @ corr
+    ac = (compact.aug.Ap + (y @ terms.r) / tau - bc @ compact.Ct2
+          - (y @ terms.gam @ g_gam @ corr) / tau)
     return SynthesisSolution(
         point=point, Y=y, X=x, Ac=ac, Bc_tilde=bc, Cc_tilde=cc,
         Ca=compact.aug.Ca.copy(), Vtau=v, rho_yx=rho,
@@ -331,27 +316,13 @@ def compute_gains(compact: CompactPlant, point: ScalingPoint,
     )
 
 
-def _bound_from_parts(y, x, r, bc, e, corr):
-    return float(0.5 * np.trace(y @ r + bc @ e @ bc.T @ x @ corr))
-
-
 def cost_bound(compact: CompactPlant, point: ScalingPoint,
                y: np.ndarray, x: np.ndarray, delayed_target: bool = False) -> float:
-    """Guaranteed cost bound V_tau for given Riccati solutions."""
-    tau = point.tau
-    rho = spectral_radius(y @ x)
-    if rho >= tau:
-        raise CouplingError(
-            f"coupling condition violated: rho(YX) = {rho:.6e} >= tau = {tau:.6e}",
-            rho=rho, tau=tau,
-        )
-    mult = assemble_multipliers(compact, point.lam)
-    _, wxy, e = _scaled_noise(compact, mult)
-    r, _, _ = cost_weights(compact, point, mult, delayed_target)
-    einv = np.linalg.inv(e)
-    bc = (y @ compact.Ct2.T + wxy) @ einv
-    corr = np.linalg.inv(np.eye(compact.n) - (y @ x) / tau)
-    return _bound_from_parts(y, x, r, bc, e, corr)
+    """Guaranteed cost bound V_tau for given Riccati solutions.  The point's
+    admissibility is not checked here, only the coupling condition."""
+    _coupling(y, x, point.tau)
+    terms = _point_terms(compact, point, delayed_target, enforce=False)
+    return _bound_tail(compact, terms, y, x, point.tau)[2]
 
 
 @dataclass
@@ -361,12 +332,6 @@ class OptimizationResult:
     vtau: float
     trace: list = field(default_factory=list)
     starts_used: int = 0
-
-
-def _evaluate(compact, tau, lam, delayed_target):
-    point = ScalingPoint(lam=lam, tau=tau)
-    sol = compute_gains(compact, point, delayed_target=delayed_target)
-    return point, sol
 
 
 def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
@@ -392,7 +357,8 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
 
     def value(tau, lam):
         try:
-            _, sol = _evaluate(compact, tau, lam, delayed_target)
+            sol = compute_gains(compact, ScalingPoint(lam=lam, tau=tau),
+                                delayed_target=delayed_target)
         except (InfeasibleError, NumericalError, np.linalg.LinAlgError):
             return penalty
         trace.append((float(tau), [float(v) for v in lam], sol.Vtau))
@@ -407,8 +373,9 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         )
         if res.fun >= penalty:
             raise InfeasibleError("no feasible tau found within the search bounds")
-        point, sol = _evaluate(compact, math.exp(res.x), empty, delayed_target)
-        return OptimizationResult(point=point, solution=sol, vtau=sol.Vtau,
+        sol = compute_gains(compact, ScalingPoint(lam=empty, tau=math.exp(res.x)),
+                            delayed_target=delayed_target)
+        return OptimizationResult(point=sol.point, solution=sol, vtau=sol.Vtau,
                                   trace=trace, starts_used=1)
 
     def margin_of(lam):
@@ -462,8 +429,9 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
     if best is None:
         raise InfeasibleError("optimizer found no feasible point within budget")
     _, tau_best, lam_best = best
-    point, sol = _evaluate(compact, tau_best, lam_best, delayed_target)
-    return OptimizationResult(point=point, solution=sol, vtau=sol.Vtau,
+    sol = compute_gains(compact, ScalingPoint(lam=lam_best, tau=tau_best),
+                        delayed_target=delayed_target)
+    return OptimizationResult(point=sol.point, solution=sol, vtau=sol.Vtau,
                               trace=trace, starts_used=len(starts))
 
 

@@ -172,8 +172,31 @@ class TestCli:
         assert doc["healthy"] is True
         errors = (out / "errors.csv").read_text().splitlines()
         assert errors[0] == "run_error" and len(errors) == 4
+        values = np.loadtxt(out / "errors.csv", skiprows=1)     # plain floats
+        assert float(np.mean(values ** 2)) == doc["error_covariance"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 9
+
+    @pytest.mark.parametrize("key,value", [("batch", 0), ("chunk", 0), ("batch", -1)])
+    def test_nonpositive_batch_or_chunk_rejected(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(fast_config(tmp_path).read_text() + f"{key} = {value}\n")
+        for command in ("validate", "mc"):
+            code = cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            assert f"{key} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "monte_carlo.json").exists()
+
+    def test_simulation_lag_must_match_delay(self, tmp_path, capsys):
+        bad = tmp_path / "lag.cfg"
+        bad.write_text(fast_config(tmp_path).read_text().replace(
+            "horizon = 5.0e-5\ndelta = 3.1e-6", "horizon = 5.0e-5\ndelta = 6.2e-6"))
+        for command in ("validate", "mc"):
+            code = cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "[simulation] delta" in err and "[delay] delta" in err
+        assert not (tmp_path / "o" / "monte_carlo.json").exists()
 
     def test_reproduce_paper(self, tmp_path):
         out = tmp_path / "rep"

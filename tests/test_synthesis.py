@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rflsmooth import synthesis
 from rflsmooth.delay import identity_delay
 from rflsmooth.errors import CouplingError, InfeasibleError
 from rflsmooth.example import REFERENCE
@@ -78,6 +79,38 @@ class TestMultipliers:
             mult = assemble_multipliers(paper_compact, lam)
             np.testing.assert_allclose(mult.M, mult.M_terms[j], atol=1e-15)
             np.testing.assert_allclose(mult.N, mult.N_terms[j], atol=1e-15)
+
+    def test_stacks_match_loop_sum_bit_for_bit(self):
+        """Two nonlinearities with beta != 1 and a two-input uncertainty
+        channel: the stacked sum equals the term-by-term loop exactly."""
+        b1, d21 = np.array([[1.0, 0.2], [0.3, 0.8]]), np.array([[0.1, 0.5]])
+        plant = UncertainPlant(
+            A=[[-2.0, 0.3], [0.1, -1.5]], B1=b1, C0=[[1.0, 0.3]], C2=[[0.8, -0.2]],
+            D21=d21, B1_nl=([[0.2], [0.1]], [[-0.1], [0.3]]),
+            C1_nl=([[0.4, 0.1]], [[-0.2, 0.5]]), D21_nl=([[0.05]], [[0.02]]),
+            B1_unc=(b1,), C1_unc=([[0.3, 0.2]],), D21_unc=(d21,), beta=(0.7, 1.3),
+            S0=([[1.0]],),
+        )
+        compact = build_compact(augment_with_delay(plant, identity_delay(1)))
+        r, h, g = 2, 1, 2
+        lam = np.random.default_rng(4).uniform(0.1, 1.0, compact.ktilde)
+
+        def rank_one(size, coeffs):
+            v = np.zeros(size)
+            for idx, c in coeffs:
+                v[idx] = c
+            return np.outer(v, v)
+
+        m_terms = [np.diag([1.0, 1.0, 0, 0, 0, 0])]
+        n_terms = [np.diag([1.0, 0, 0, 0, 0])]
+        for kind in range(3):
+            for i, b in enumerate(plant.beta):
+                pairs = [(i, 1.0), (g + i, -1.0)] if kind == 0 else [((kind - 1) * g + i, 1.0)]
+                m_terms.append(rank_one(r + 2 * g, [(r + j, c) for j, c in pairs]))
+                n_terms.append(rank_one(h + 2 * g, [(h + j, b * c) for j, c in pairs]))
+        mult = assemble_multipliers(compact, lam)
+        assert np.array_equal(mult.M, sum(w * t for w, t in zip(lam, m_terms)))
+        assert np.array_equal(mult.N, sum(w * t for w, t in zip(lam, n_terms)))
 
     def test_length_mismatch(self, paper_compact):
         with pytest.raises(ValueError):
@@ -255,6 +288,39 @@ class TestCostBound:
         compact = build_compact(aug)
         sol = compute_gains(compact, reference_point)
         assert sol.Vtau >= paper_solution.Vtau
+
+
+class TestEvaluationPath:
+    """One scaling point is evaluated once: its multipliers are assembled at
+    most once per compute_gains, and each Riccati equation is solved once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"assemble_multipliers": 0, "solve_care": 0}
+        for name in calls:
+            fn = getattr(synthesis, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(synthesis, name, counted)
+        return calls
+
+    def test_one_assembly_two_riccati_solves(self, counts, paper_compact, reference_point):
+        compute_gains(paper_compact, reference_point)
+        assert counts["assemble_multipliers"] <= 1
+        assert counts["solve_care"] == 2
+
+    def test_infeasible_point_rejected_before_any_solve(self, counts, paper_compact):
+        with pytest.raises(InfeasibleError):
+            compute_gains(paper_compact, ScalingPoint(lam=np.ones(4), tau=1e-6))
+        assert counts["solve_care"] == 0
+
+    def test_cost_bound_matches_gains_exactly(self, paper_compact, reference_point,
+                                              paper_solution):
+        v = cost_bound(paper_compact, reference_point, paper_solution.Y, paper_solution.X)
+        assert v == paper_solution.Vtau
 
 
 def test_delayed_target_variant(paper_compact, reference_point, paper_solution):
