@@ -84,10 +84,12 @@ def build_closed_loop(compact: CompactPlant, sol: SynthesisSolution,
     bt1, ct1 = compact.Bt1, compact.Ct1
     dt12, dt21, ct2 = compact.Dt12, compact.Dt21, compact.Ct2
     ac, bc, cc = sol.Ac, sol.Bc_tilde, sol.Cc_tilde
-    abold = np.block([
-        [compact.aug.Ap + bt1 @ delta @ ct1, bt1 @ delta @ dt12 @ cc],
-        [bc @ ct2 + bc @ dt21 @ delta @ ct1, ac + bc @ dt21 @ delta @ dt12 @ cc],
-    ])
+    n = compact.n
+    abold = np.empty((2 * n, 2 * n))
+    abold[:n, :n] = compact.aug.Ap + bt1 @ delta @ ct1
+    abold[:n, n:] = bt1 @ delta @ dt12 @ cc
+    abold[n:, :n] = bc @ ct2 + bc @ dt21 @ delta @ ct1
+    abold[n:, n:] = ac + bc @ dt21 @ delta @ dt12 @ cc
     bbold = np.vstack([compact.Bp1w, bc @ compact.Db21])
     return ClosedLoopModel(compact=compact, solution=sol,
                            Abold=abold, Bbold=bbold, Delta=delta)
@@ -104,13 +106,8 @@ def smoothed_error_covariance(loop: ClosedLoopModel, lag: float = None) -> Covar
     by construction.  Also returns the filter-only error covariance Pf built
     from the estimator output rows against Cp0.
 
-    Raises StationarityError when the closed loop is not Hurwitz.
+    Raises StationarityError, from the Lyapunov solve, when the loop is not Hurwitz.
     """
-    if not loop.is_hurwitz():
-        raise StationarityError(
-            "closed loop is not Hurwitz at this uncertainty level; "
-            "no stationary covariance exists"
-        )
     compact = loop.compact
     if lag is None:
         lag = compact.aug.delay.delta
@@ -139,13 +136,12 @@ def delta_sweep(compact: CompactPlant, sol: SynthesisSolution, grid,
     rows = []
     for d2 in sorted(grid):
         loop = build_closed_loop(compact, sol, delta1=delta1, delta2=float(d2))
-        if not loop.is_hurwitz():
-            rows.append(SweepRow(delta2=float(d2), psa=float("nan"),
-                                 pf=float("nan"), hurwitz=False))
-            continue
-        rep = smoothed_error_covariance(loop)
-        rows.append(SweepRow(delta2=float(d2), psa=float(rep.Psa[0, 0]),
-                             pf=float(rep.Pf[0, 0]), hurwitz=True))
+        try:
+            rep = smoothed_error_covariance(loop)
+            psa, pf, stable = float(rep.Psa[0, 0]), float(rep.Pf[0, 0]), True
+        except StationarityError:
+            psa, pf, stable = float("nan"), float("nan"), False
+        rows.append(SweepRow(delta2=float(d2), psa=psa, pf=pf, hurwitz=stable))
     return rows
 
 

@@ -7,8 +7,8 @@ The Riccati solver handles the generic form
 
 with a sign-indefinite quadratic coefficient S, via an ordered real Schur
 decomposition of the associated Hamiltonian matrix, optionally refined by
-Newton-Kleinman iterations.  The Lyapunov solver uses a dense Kronecker
-linear solve, which is exact at the problem sizes that occur here (n <= 30).
+Newton-Kleinman iterations.  Lyapunov equations are solved by Bartels-Stewart:
+one real Schur form gives the Hurwitz test and a triangular Sylvester solve.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
+_trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,11 @@ def _newton_refine(prob: RiccatiProblem, x: np.ndarray, sweeps: int = 5):
     best = x
     best_res = care_residual(prob, x)
     for _ in range(sweeps):
-        acl = prob.a + prob.s @ best
-        if np.linalg.eigvals(acl).real.max() >= 0:
+        t, z, abscissa = _schur_abscissa((prob.a + prob.s @ best).T)
+        if abscissa >= 0:
             break
         f = best @ prob.a + prob.a.T @ best + best @ prob.s @ best + prob.q
-        try:
-            delta = _lyap_kron(acl.T, f)
-        except np.linalg.LinAlgError:
-            break
+        delta = _lyap_schur(t, z, f)
         cand = 0.5 * ((best + delta) + (best + delta).T)
         res = care_residual(prob, cand)
         if res >= best_res:
@@ -161,12 +159,17 @@ def solve_care(prob: RiccatiProblem, imag_tol: float = 1e-9) -> CareSolution:
     )
 
 
-def _lyap_kron(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve A P + P A' + W = 0 by the Kronecker-product linear system."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    k = np.kron(eye, a) + np.kron(a, eye)
-    p = np.linalg.solve(k, -w.reshape(n * n, order="F")).reshape((n, n), order="F")
+def _schur_abscissa(a: np.ndarray):
+    """Real Schur form A = Z T Z' and max Re eig(A), read from diag(T): LAPACK
+    gives each 2x2 block of T equal diagonal entries, its pair's real part."""
+    t, z = sla.schur(a)
+    return t, z, float(np.diag(t).max())
+
+
+def _lyap_schur(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Solve A P + P A' + W = 0 given A = Z T Z' (Bartels-Stewart)."""
+    y, scale, _ = _trsyl(t, t, -(z.T @ w @ z), tranb="T")
+    p = (z @ y @ z.T) / scale
     return 0.5 * (p + p.T)
 
 
@@ -185,12 +188,13 @@ def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if a.shape != w.shape or a.shape[0] != a.shape[1]:
         raise ValueError("A and W must be square matrices of equal size")
-    if not is_hurwitz(a):
+    t, z, abscissa = _schur_abscissa(a)
+    if abscissa >= 0:
         raise StationarityError(
             "matrix is not Hurwitz; stationary Lyapunov equation has no "
-            f"solution (max Re eig = {np.linalg.eigvals(a).real.max():.6g})"
+            f"solution (max Re eig = {abscissa:.6g})"
         )
-    p = _lyap_kron(a, w)
+    p = _lyap_schur(t, z, w)
     res = lyapunov_residual(a, w, p)
     if res > 1e-8 * (1.0 + np.linalg.norm(p, "fro")) * (1.0 + np.linalg.norm(a, "fro")):
         raise NumericalError(f"Lyapunov residual too large: {res:.3e}")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,19 @@ runs = 3
 master_seed = 9
 estimator = "smoother"
 """
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_python(argv, threads=None):
+    """Run `python argv` on these sources in a fresh interpreter, optionally
+    with a fixed OpenBLAS thread count."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
 
 
 def fast_config(tmp_path, synthesis_extra=""):
@@ -229,3 +246,28 @@ class _FakeParser:
 
     def parse_args(self, argv=None):
         return self._args
+
+
+class TestProcess:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        """Only the bound optimizer needs scipy.optimize; commands that do not
+        optimize skip its import time and memory."""
+        code = ("import sys, rflsmooth.cli\n"
+                "from rflsmooth.config import bundled_example_path, compact_from_config, load_config\n"
+                "compact_from_config(load_config(bundled_example_path()))\n"
+                "print('scipy.optimize' in sys.modules)")
+        assert run_python(["-c", code]).stdout.strip() == "False"
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        """Order 6: loop size 14, and the pinned synthesis is Newton-refined."""
+        cfg = tmp_path / "order6.cfg"
+        cfg.write_text(bundled_example_path().read_text().replace("order = 2", "order = 6"))
+        artifacts = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            for command, extra in (("synth", []), ("sweep", ["--grid", "21"])):
+                run_python(["-m", "rflsmooth.cli", command, "--config", str(cfg),
+                                 "--out-dir", str(out / command), *extra], threads)
+            artifacts[threads] = ((out / "synth" / "synthesis.json").read_bytes(),
+                                  (out / "sweep" / "sweep.csv").read_bytes())
+        assert artifacts[1] == artifacts[2]

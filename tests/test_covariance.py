@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from rflsmooth.covariance import (
     build_closed_loop,
@@ -9,9 +10,13 @@ from rflsmooth.covariance import (
 )
 from rflsmooth.delay import pade_delay
 from rflsmooth.errors import StationarityError
+from rflsmooth.example import phase_estimation_compact
 from rflsmooth.model import UncertainPlant, augment_with_delay, build_compact
+from rflsmooth.numkernel import solve_lyapunov
 from rflsmooth.sim import sample_linear_loop
 from rflsmooth.synthesis import ScalingPoint, compute_gains
+
+from test_numkernel import lyap_kron_oracle
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,36 @@ class TestSweep:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()
         assert header[1] == "delta2,psa,pf,hurwitz"
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_lyapunov_matches_kronecker_oracle_on_closed_loops(params, reference_point, order):
+    """Loop sizes 4-14 in the balanced realization, across the sweep range."""
+    compact = phase_estimation_compact(params, order=order, realization="balanced")
+    sol = compute_gains(compact, reference_point)
+    for d2 in (-1.0, -0.5, 0.0):
+        loop = build_closed_loop(compact, sol, delta2=d2)
+        w = loop.Bbold @ loop.Bbold.T
+        oracle = lyap_kron_oracle(loop.Abold, w)
+        err = np.linalg.norm(solve_lyapunov(loop.Abold, w) - oracle)
+        assert err <= 1e-10 * np.linalg.norm(oracle), (order, d2)
+
+
+def test_sweep_point_is_one_schur_form(monkeypatch, paper_compact, paper_solution):
+    """Each sweep point decides stability and solves its Lyapunov equation
+    from one real Schur form; no eigenvalue call is made."""
+    calls = {"schur": 0, "eigvals": 0}
+    for module, name in ((sla, "schur"), (np.linalg, "eigvals")):
+        fn = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rows = delta_sweep(paper_compact, paper_solution, np.linspace(-1, 0, 7))
+    assert all(r.hurwitz for r in rows)
+    assert calls == {"schur": 7, "eigvals": 0}
 
 
 def test_analytic_matches_linear_monte_carlo():

@@ -5,6 +5,7 @@ import scipy.linalg as sla
 from rflsmooth.errors import InfeasibleError, StationarityError
 from rflsmooth.numkernel import (
     RiccatiProblem,
+    _newton_refine,
     care_residual,
     expm,
     is_hurwitz,
@@ -90,6 +91,18 @@ class TestCare:
             RiccatiProblem(a=np.eye(2), q=np.array([[0.0, 1.0], [0.0, 0.0]]),
                            s=np.zeros((2, 2)))
 
+    def test_newton_refinement_restores_perturbed_solution(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            prob = random_lqr_problem(rng, 5)
+            oracle = care_eig_oracle(prob.a, prob.s, prob.q)
+            e = rng.standard_normal((5, 5))
+            start = oracle + 1e-4 * np.linalg.norm(oracle) * (e + e.T)
+            x, res = _newton_refine(prob, start)
+            assert res < care_residual(prob, start)
+            assert res == care_residual(prob, x)
+            np.testing.assert_allclose(x, oracle, rtol=1e-8, atol=1e-10 * np.linalg.norm(oracle))
+
     def test_residual_helper(self):
         prob = RiccatiProblem(a=[[-1.0]], q=[[2.0]], s=[[0.0]])
         assert care_residual(prob, np.array([[1.0]])) == 0.0
@@ -119,6 +132,13 @@ class TestLyapunov:
     def test_not_hurwitz_raises(self):
         with pytest.raises(StationarityError):
             solve_lyapunov([[1.0]], [[1.0]])
+
+    @pytest.mark.parametrize("a", [[[0.1, 1.0], [-1.0, 0.1]], [[0.0, 1.0], [-1.0, 0.0]]],
+                             ids=["complex-unstable", "imaginary-axis"])
+    def test_non_hurwitz_pair_raises_stationarity(self, a):
+        # one 2x2 block of the real Schur form; never NumericalError or LinAlgError
+        with pytest.raises(StationarityError, match="max Re eig"):
+            solve_lyapunov(a, np.eye(2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
