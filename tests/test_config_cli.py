@@ -271,3 +271,18 @@ class TestProcess:
             artifacts[threads] = ((out / "synth" / "synthesis.json").read_bytes(),
                                   (out / "sweep" / "sweep.csv").read_bytes())
         assert artifacts[1] == artifacts[2]
+
+    def test_mc_errors_independent_of_blas_threads_and_batch(self, tmp_path):
+        """Three runs in one batch and in batches of one, under one and two
+        threads: one errors.csv."""
+        default = fast_config(tmp_path)
+        single = tmp_path / "single.cfg"
+        single.write_text(default.read_text() + "batch = 1\n")
+        written = set()
+        for threads in (1, 2):
+            for cfg in (default, single):
+                out = tmp_path / f"t{threads}-{cfg.stem}"
+                run_python(["-m", "rflsmooth.cli", "mc", "--config", str(cfg), "--runs", "3",
+                            "--save-errors", "--out-dir", str(out)], threads)
+                written.add((out / "errors.csv").read_bytes())
+        assert len(written) == 1

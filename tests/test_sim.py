@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from rflsmooth import sim
 from rflsmooth.sim import (
+    READOUTS,
     SimConfig,
-    copy_nonlinearity,
     monte_carlo,
     run_generator,
     simulate_run,
@@ -74,6 +75,77 @@ def test_report_independent_of_batch_boundaries(fast_cfg, paper_solution):
     np.testing.assert_allclose(ra.errors, rb.errors, rtol=1e-12)
 
 
+def per_run(cfg, gains):
+    """Every run's three errors, divergence flag and violation count, batch
+    by batch as monte_carlo integrates them."""
+    parts = [sim._integrate(cfg, gains, idx)[:3] for idx in sim._batches(cfg.runs, cfg.batch)]
+    return [np.concatenate(p, axis=-1) for p in zip(*parts)]
+
+
+def test_runs_bit_identical_at_any_batch_size(fast_cfg, paper_solution):
+    """A one-column product would take BLAS's matrix-vector path, which
+    rounds differently.  phi0 = 1.8 starts every run outside the sector so
+    the violation counts differ from run to run."""
+    cfg = dataclasses.replace(fast_cfg, runs=300, phi0=1.8)
+    ref = per_run(dataclasses.replace(cfg, batch=2048), paper_solution)
+    assert ref[1].all()                         # no run diverged
+    assert len(set(ref[2].tolist())) > 10
+    for batch in (1, 3, 5, 256, 300):
+        got = per_run(dataclasses.replace(cfg, batch=batch), paper_solution)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_chunk_does_not_change_error_bits(fast_cfg, paper_solution):
+    """A run's Philox stream continues across chunks, so shorter noise
+    blocks give the same numbers."""
+    cfg = dataclasses.replace(fast_cfg, runs=5)
+    ref = per_run(cfg, paper_solution)
+    for chunk in (1, 7, 64, 499):
+        got = per_run(dataclasses.replace(cfg, chunk=chunk), paper_solution)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_noise_chunk_sized_with_batch():
+    width, nsteps = 2000, 1000
+    blocks = sim._noise(0, range(3), width, nsteps, 5000, 2)
+    lengths = [len(block) for _, block in blocks]
+    assert max(lengths) == sim.NOISE_BUDGET // width
+    assert sum(lengths) == nsteps
+
+
+def test_paired_readouts_match_separate_calls(fast_cfg, paper_solution):
+    cfg = dataclasses.replace(fast_cfg, runs=6)
+    paired = monte_carlo(cfg, paper_solution, keep_errors=True)
+    assert set(paired.readouts) == set(READOUTS)
+    for name, over in (("delayed", {}), ("undelayed", {"compare": "undelayed"}),
+                       ("filter", {"estimator": "ngcf"})):
+        alone = monte_carlo(dataclasses.replace(cfg, **over), paper_solution, keep_errors=True)
+        np.testing.assert_array_equal(paired.readouts[name].errors, alone.errors)
+        assert paired.readouts[name].to_dict() == alone.to_dict()
+    np.testing.assert_array_equal(paired.errors, paired.readouts["delayed"].errors)
+
+
+def test_step_matrix_matches_loop_equations(paper_solution):
+    """One step through W against the loop equations of the sim module, with
+    psi(nu) = sin(nu / (2 alpha gamma)) - beta nu / (2 alpha gamma)."""
+    cfg = SimConfig(beta_slope=0.8, meas_noise_scale=1.3)
+    g = paper_solution
+    x, phi, dv, dw = np.array([0.3, -0.2, 0.5]), 0.4, 0.7, -1.1
+    phihat, nu = g.Cc[0] @ x, g.Kc[0] @ x
+    scale, two_ab = 2 * cfg.alpha * cfg.gamma, 2 * cfg.alpha * cfg.beta_slope
+    sqdt = math.sqrt(cfg.dt)
+    psi = math.sin(nu / scale) - cfg.beta_slope * nu / scale
+    d_i = 2 * cfg.alpha * math.sin(phi - phihat) * cfg.dt + cfg.meas_noise_scale * sqdt * dw
+    dybar = (d_i + two_ab * phihat * cfg.dt) / two_ab
+    x1 = x + (g.Ac @ x + g.Gc[:, 0] * psi) * cfg.dt + g.Bc[:, 0] * dybar
+    phi1 = phi - cfg.lambda_ou * phi * cfg.dt + math.sqrt(cfg.kappa) * sqdt * dv
+    y = np.concatenate([x, [phi, math.sin(phi - phihat), math.sin(nu / scale), dv, dw]])
+    expected = np.concatenate([x1, [phi1, phi1 - g.Cc[0] @ x1, g.Kc[0] @ x1 / scale]])
+    np.testing.assert_allclose(sim._step_matrix(cfg, g) @ y, expected, rtol=1e-12, atol=1e-14)
+
+
 def test_master_seed_changes_report(fast_cfg, paper_solution):
     ra = monte_carlo(fast_cfg, paper_solution)
     rb = monte_carlo(dataclasses.replace(fast_cfg, master_seed=8), paper_solution)
@@ -111,16 +183,6 @@ def test_sector_bound_holds_over_default_range():
     assert np.all(np.abs(np.sin(e) - e) <= cfg.gamma * np.abs(e) + 1e-12)
     beyond = cfg.sector_limit * 1.05
     assert abs(math.sin(beyond) - beyond) > cfg.gamma * beyond
-
-
-def test_copy_nonlinearity_normalization():
-    cfg = SimConfig()
-    psi = copy_nonlinearity(cfg)
-    scale = 2 * cfg.alpha * cfg.gamma
-    assert psi(0.0) == 0.0
-    z = 0.8
-    np.testing.assert_allclose(psi(z * scale), math.sin(z) - cfg.beta_slope * z,
-                               rtol=1e-12)
 
 
 def test_stream_independence():
