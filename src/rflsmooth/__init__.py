@@ -21,7 +21,6 @@ from .errors import (
 from .model import (
     AugmentedPlant,
     CompactPlant,
-    NonlinearityBank,
     UncertainPlant,
     augment_with_delay,
     build_compact,
@@ -62,7 +61,7 @@ __all__ = [
     "DelayModel", "pade_delay", "identity_delay", "delay_response_error",
     "ToolkitError", "ConfigError", "DimensionError", "InfeasibleError",
     "CouplingError", "NumericalError", "StationarityError",
-    "UncertainPlant", "NonlinearityBank", "AugmentedPlant", "CompactPlant",
+    "UncertainPlant", "AugmentedPlant", "CompactPlant",
     "validate_plant", "augment_with_delay", "build_compact",
     "RiccatiProblem", "CareSolution", "solve_care", "solve_lyapunov",
     "expm", "spectral_radius", "is_hurwitz",

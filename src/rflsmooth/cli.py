@@ -70,11 +70,10 @@ def _write_manifest(out_dir: Path, command: str, config: str, seed, artifacts):
 def _load(args):
     config_path = Path(args.config) if args.config else bundled_example_path()
     doc = load_config(config_path)
-    return config_path, doc
+    return config_path, doc, compact_from_config(doc, paper_realization=args.paper_realization)
 
 
-def _solution(doc, args):
-    compact = compact_from_config(doc, paper_realization=args.paper_realization)
+def _solution(compact, doc, args):
     point, settings = scaling_from_config(doc)
     delayed = args.target_output == "delayed"
     seed = args.seed if args.seed is not None else settings["seed"]
@@ -88,12 +87,12 @@ def _solution(doc, args):
             lam_high=settings["lam_high"], delayed_target=delayed,
         )
         sol, trace = result.solution, result.trace
-    return compact, sol, trace, seed
+    return sol, trace, seed
 
 
 def cmd_synth(args) -> int:
-    config_path, doc = _load(args)
-    compact, sol, trace, seed = _solution(doc, args)
+    config_path, doc, compact = _load(args)
+    sol, trace, seed = _solution(compact, doc, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = solution_to_json(sol, extra={"search_trace": trace})
@@ -106,8 +105,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config_path, doc = _load(args)
-    compact, sol, _, seed = _solution(doc, args)
+    config_path, doc, compact = _load(args)
+    sol, _, seed = _solution(compact, doc, args)
     grid = np.linspace(-1.0, 0.0, args.grid)
     rows = delta_sweep(compact, sol, grid)
     out_dir = Path(args.out_dir)
@@ -121,13 +120,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    config_path, doc = _load(args)
-    cfg = sim_from_config(doc, runs=args.runs, master_seed=args.seed,
+    config_path, doc, compact = _load(args)
+    cfg = sim_from_config(doc, compact, runs=args.runs, master_seed=args.seed,
                           estimator=args.estimator)
-    compact, sol, _, _ = _solution(doc, args)
+    sol, _, _ = _solution(compact, doc, args)
     def progress(done, total):
         print(f"\r{done}/{total} runs", end="", file=sys.stderr, flush=True)
-    report = monte_carlo(cfg, sol, progress=progress, keep_errors=args.save_errors)
+    report = monte_carlo(cfg, compact, sol, progress=progress,
+                         keep_errors=args.save_errors)
     print("", file=sys.stderr)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,10 +173,10 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config_path, doc = _load(args)
-    compact_from_config(doc, paper_realization=args.paper_realization)
+    config_path, doc, compact = _load(args)
+    scaling_from_config(doc)
     if "simulation" in doc:
-        sim_from_config(doc)
+        sim_from_config(doc, compact)
     print(f"{config_path}: OK")
     return EXIT_OK
 

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .delay import identity_delay, pade_delay
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .model import UncertainPlant, augment_with_delay, build_compact, validate_plant
-from .sim import SimConfig
+from .sim import SimConfig, homodyne_loop
 from .synthesis import ScalingPoint
 
 __all__ = [
@@ -33,6 +34,16 @@ _PLANT_MATRIX_KEYS = {"a": "A", "b1": "B1", "c0": "C0", "c2": "C2", "d21": "D21"
 _PLANT_LIST_KEYS = {"b1_nl": "B1_nl", "b1_unc": "B1_unc", "c1_nl": "C1_nl",
                     "c1_unc": "C1_unc", "d21_nl": "D21_nl", "d21_unc": "D21_unc",
                     "s0": "S0"}
+
+# Optional [simulation] physics keys: the entry that fixes each, and the value it
+# implies given the loop constants and beta_slope, to be met within 1e-9 relative.
+_SIM_PHYSICS = {
+    "kappa": ("[plant] b1", lambda loop, beta: loop.sqrt_kappa ** 2),
+    "lambda_ou": ("[plant] a", lambda loop, beta: loop.lam),
+    "alpha": ("[plant] d21", lambda loop, beta: loop.two_ab / (2.0 * beta)),
+    "gamma": ("[plant] c1_nl", lambda loop, beta: loop.two_ag * beta / loop.two_ab),
+    "delta": ("[delay] delta", lambda loop, beta: loop.delta),
+}
 
 
 def bundled_example_path() -> Path:
@@ -94,16 +105,14 @@ def plant_from_config(doc: dict) -> UncertainPlant:
 
 def delay_from_config(doc: dict, paper_realization: bool = False):
     sec = doc.get("delay", {})
-    order = int(sec.get("order", 2))
-    delta = float(sec.get("delta", 0.0))
-    if order == 0 or delta == 0.0:
-        return identity_delay(int(sec.get("m", 1)))
-    realization = sec.get("realization", "balanced")
-    if paper_realization:
-        realization = "paper"
     try:
+        order = int(sec.get("order", 2))
+        delta = float(sec.get("delta", 0.0))
+        if order == 0 or delta == 0.0:
+            return identity_delay(int(sec.get("m", 1)))
+        realization = "paper" if paper_realization else sec.get("realization", "balanced")
         return pade_delay(order, delta, realization=realization)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"[delay] invalid: {exc}") from exc
 
 
@@ -111,35 +120,49 @@ def scaling_from_config(doc: dict):
     """Pinned scaling point from [synthesis], or None when the point is to be
     optimized.  Also returns the optimizer settings dictionary."""
     sec = doc.get("synthesis", {})
-    settings = {
-        "tau_bounds": tuple(sec.get("tau_bounds", (1e-8, 1e-3))),
-        "n_starts": int(sec.get("n_starts", 8)),
-        "seed": int(sec.get("seed", 0)),
-        "lam_high": float(sec.get("lambda_high", 1.0)),
-    }
-    if "tau" in sec and "lambda" in sec:
-        point = ScalingPoint(lam=np.asarray(sec["lambda"], dtype=float),
-                             tau=float(sec["tau"]))
-        return point, settings
+    try:
+        settings = {
+            "tau_bounds": tuple(sec.get("tau_bounds", (1e-8, 1e-3))),
+            "n_starts": int(sec.get("n_starts", 8)),
+            "seed": int(sec.get("seed", 0)),
+            "lam_high": float(sec.get("lambda_high", 1.0)),
+        }
+        if "tau" in sec and "lambda" in sec:
+            return ScalingPoint(lam=np.asarray(sec["lambda"], dtype=float),
+                                tau=float(sec["tau"])), settings
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"[synthesis] invalid: {exc}") from exc
     return None, settings
 
 
-def sim_from_config(doc: dict, **overrides) -> SimConfig:
+def sim_from_config(doc: dict, compact, **overrides) -> SimConfig:
+    """[simulation] settings for runs of the compact plant's loop; the
+    physics keys it restates must agree with it (_SIM_PHYSICS)."""
     sec = dict(doc.get("simulation", {}))
     sec.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f for f in SimConfig.__dataclass_fields__}
-    unknown = set(sec) - known
+    unknown = set(sec) - set(SimConfig.__dataclass_fields__) - set(_SIM_PHYSICS)
     if unknown:
         raise ConfigError(f"[simulation] unknown keys: {', '.join(sorted(unknown))}")
+    physics = {key: sec.pop(key) for key in _SIM_PHYSICS if key in sec}
     try:
         cfg = SimConfig(**sec)
         cfg.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[simulation] invalid: {exc}") from exc
-    lag = doc.get("delay", {}).get("delta")
-    if "delta" in sec and lag is not None and cfg.delta != lag:
-        raise ConfigError(f"[simulation] delta = {cfg.delta!r} is not the synthesized "
-                          f"lag [delay] delta = {lag!r}")
+    try:
+        loop = homodyne_loop(compact)
+    except ValueError as exc:
+        raise ConfigError(f"[plant] cannot be simulated: {exc}") from exc
+    for key, value in physics.items():
+        source, implied = _SIM_PHYSICS[key]
+        want = implied(loop, cfg.beta_slope)
+        if not (isinstance(value, (int, float)) and math.isclose(value, want, rel_tol=1e-9)):
+            raise ConfigError(f"[simulation] {key} = {value!r} contradicts {source}, "
+                              f"which gives {key} = {want!r}")
+    try:
+        cfg.lag_steps(loop.delta)
+    except ValueError as exc:
+        raise ConfigError(f"[delay] delta does not fit [simulation] horizon: {exc}") from exc
     return cfg
 
 
@@ -147,8 +170,13 @@ def compact_from_config(doc: dict, paper_realization: bool = False):
     """Build the compact synthesis plant described by a configuration."""
     plant = plant_from_config(doc)
     dly = delay_from_config(doc, paper_realization=paper_realization)
-    aug = augment_with_delay(plant, dly)
+    try:
+        aug = augment_with_delay(plant, dly)
+    except DimensionError as exc:
+        raise ConfigError(f"[delay] does not fit [plant] c0: {exc}") from exc
     sec = doc.get("synthesis", {})
-    j21 = np.asarray(sec["j21"], dtype=float) if "j21" in sec else None
-    d0 = float(sec.get("d0", 1e-9))
-    return build_compact(aug, j21=j21, d0=d0)
+    try:
+        j21 = np.asarray(sec["j21"], dtype=float) if "j21" in sec else None
+        return build_compact(aug, j21=j21, d0=float(sec.get("d0", 1e-9)))
+    except (DimensionError, TypeError, ValueError) as exc:
+        raise ConfigError(f"[synthesis] invalid: {exc}") from exc

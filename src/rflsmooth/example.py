@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delay import pade_delay
-from .model import NonlinearityBank, UncertainPlant, augment_with_delay, build_compact
+from .model import UncertainPlant, augment_with_delay, build_compact
 from .synthesis import ScalingPoint
 
 __all__ = [
     "OpticalParameters",
     "phase_estimation_plant",
-    "phase_estimation_bank",
     "phase_estimation_compact",
     "reference_scaling_point",
     "REFERENCE",
@@ -66,18 +65,6 @@ def phase_estimation_plant(params: OpticalParameters = OpticalParameters()) -> U
         beta=(1.0,),
         S0=(np.eye(1),),
     )
-
-
-def phase_estimation_bank(params: OpticalParameters = OpticalParameters()) -> NonlinearityBank:
-    """Measurement nonlinearity psi(nu) = sin(nu/(2 a g)) - beta nu/(2 a g)."""
-    scale = 2.0 * params.alpha * params.gamma
-    beta = params.beta_slope
-
-    def psi(nu, _s=scale, _b=beta):
-        z = nu / _s
-        return np.sin(z) - _b * z
-
-    return NonlinearityBank(psi=(psi,), beta=(1.0,))
 
 
 def phase_estimation_compact(params: OpticalParameters = OpticalParameters(),

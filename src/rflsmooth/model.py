@@ -19,7 +19,6 @@ from .errors import DimensionError, InfeasibleError
 
 __all__ = [
     "UncertainPlant",
-    "NonlinearityBank",
     "AugmentedPlant",
     "CompactPlant",
     "validate_plant",
@@ -98,32 +97,6 @@ class UncertainPlant:
     @property
     def r_s(self) -> tuple:
         return tuple(b.shape[1] for b in self.B1_unc)
-
-
-@dataclass(frozen=True)
-class NonlinearityBank:
-    """Scalar nonlinearities nu -> mu with their Lipschitz constants."""
-
-    psi: tuple
-    beta: tuple
-
-    def validate(self, span: float = 2.0, npoints: int = 200, tol: float = 1e-9):
-        """Check psi_i(0) = 0 and a sampled Lipschitz bound on [-span, span].
-
-        Returns a list of violation strings (empty when the bank is valid).
-        """
-        issues = []
-        grid = np.linspace(-span, span, npoints)
-        for i, (fn, b) in enumerate(zip(self.psi, self.beta)):
-            if abs(fn(0.0)) > tol:
-                issues.append(f"psi_{i} does not vanish at the origin: psi(0)={fn(0.0):.3e}")
-            vals = np.array([fn(v) for v in grid])
-            diff = np.abs(vals[:, None] - vals[None, :])
-            arg = np.abs(grid[:, None] - grid[None, :])
-            if np.any(diff > b * arg + tol):
-                worst = float((diff - b * arg).max())
-                issues.append(f"psi_{i} violates Lipschitz bound beta={b} by {worst:.3e}")
-        return issues
 
 
 @dataclass(frozen=True)

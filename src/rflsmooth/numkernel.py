@@ -13,7 +13,7 @@ one real Schur form gives the Hurwitz test and a triangular Sylvester solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -73,8 +73,6 @@ class RiccatiProblem:
 class CareSolution:
     x: np.ndarray
     residual: float
-    stabilizing: bool
-    closed_loop_eigs: np.ndarray = field(repr=False, default=None)
 
 
 def care_residual(prob: RiccatiProblem, x: np.ndarray) -> float:
@@ -138,8 +136,7 @@ def solve_care(prob: RiccatiProblem, imag_tol: float = 1e-9) -> CareSolution:
     Returns
     -------
     CareSolution
-        Symmetric solution, Frobenius residual, and a flag telling whether
-        Re(eig(A + S X)) < 0.
+        Symmetric solution and its Frobenius residual.
 
     Raises
     ------
@@ -150,13 +147,7 @@ def solve_care(prob: RiccatiProblem, imag_tol: float = 1e-9) -> CareSolution:
     res = care_residual(prob, x)
     if res > 1e-8 * (1.0 + np.linalg.norm(x, "fro") ** 2):
         x, res = _newton_refine(prob, x)
-    cl_eigs = np.linalg.eigvals(prob.a + prob.s @ x)
-    return CareSolution(
-        x=x,
-        residual=res,
-        stabilizing=bool(cl_eigs.real.max() < 0),
-        closed_loop_eigs=cl_eigs,
-    )
+    return CareSolution(x=x, residual=res)
 
 
 def _schur_abscissa(a: np.ndarray):

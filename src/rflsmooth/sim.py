@@ -11,6 +11,9 @@ The loop integrated by Euler-Maruyama is
 with phihat = (Cc xhat) fed back to the local oscillator and psi the
 estimator's copy of the measurement nonlinearity,
 psi(nu) = sin(nu / (2 alpha gamma)) - beta * nu / (2 alpha gamma).
+The constants come from the compact plant the gains were synthesized for
+(homodyne_loop); it fixes only alpha beta and alpha gamma, so beta alone,
+which sin e / beta and psi's -beta z need, is SimConfig.beta_slope.
 
 A batch is one (n+5, runs) array Y = [xhat; phi; e; z; dV; dW], a column
 per run, with e = phi - Cc xhat and z = Kc xhat / (2 alpha gamma).  A step
@@ -38,14 +41,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from .model import CompactPlant
 from .synthesis import SynthesisSolution
 
-__all__ = ["SimConfig", "RunResult", "MonteCarloReport", "READOUTS", "run_generator",
-           "simulate_run", "monte_carlo", "sample_linear_loop"]
+__all__ = ["SimConfig", "RunResult", "MonteCarloReport", "READOUTS", "homodyne_loop",
+           "run_generator", "simulate_run", "monte_carlo", "sample_linear_loop"]
 
 READOUTS = ("delayed", "undelayed", "filter")
 NOISE_BUDGET = 1 << 18      # run-steps of noise held at once: 4 MB per copy of 2 draws
@@ -53,18 +58,14 @@ NOISE_BUDGET = 1 << 18      # run-steps of noise held at once: 4 MB per copy of 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of the homodyne phase-tracking experiment.  estimator and
-    compare pick the headline READOUTS entry: "smoother" with "delayed" or
-    "undelayed", or "ngcf" for the filter.  All three come from one pass."""
+    """Settings of the homodyne phase-tracking experiment; the loop itself is
+    the compact plant's (homodyne_loop).  estimator and compare pick the
+    headline READOUTS entry: "smoother" with "delayed" or "undelayed", or
+    "ngcf" for the filter.  All three come from one pass."""
 
-    kappa: float = 4.0e4          # phase diffusion intensity, rad^2/s
-    lambda_ou: float = 9.14e3     # mean-reversion rate, 1/s
-    alpha: float = 1162.0         # field amplitude, 1/s
     beta_slope: float = 1.0       # tangent slope of the measurement curve
-    gamma: float = 0.4            # sector bound
     dt: float = 1.0e-8            # integration step, s
     horizon: float = 1.0e-3       # run length, s
-    delta: float = 3.1e-6         # smoother lag, s
     runs: int = 2000
     master_seed: int = 0
     estimator: str = "smoother"   # "smoother" | "ngcf"
@@ -77,15 +78,11 @@ class SimConfig:
     chunk: int = 5000                 # steps per noise block, at most NOISE_BUDGET // batch
 
     def validate(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for key in ("dt", "beta_slope"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
         if self.horizon < 100 * self.dt:
             raise ValueError("horizon must cover at least 100 integration steps")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
-        ratio = self.delta / self.dt
-        if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
-            raise ValueError("delta must be an integer multiple of dt")
         for key in ("runs", "batch", "chunk"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
@@ -98,14 +95,38 @@ class SimConfig:
     def nsteps(self) -> int:
         return round(self.horizon / self.dt)
 
-    @property
-    def lag_steps(self) -> int:
-        return round(self.delta / self.dt)
+    def lag_steps(self, delta: float) -> int:
+        """The lag delta in steps: a multiple of dt shorter than the horizon."""
+        ratio = delta / self.dt
+        if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio) or round(ratio) >= self.nsteps:
+            raise ValueError(f"lag {delta!r} s must be a multiple of dt = {self.dt!r} s "
+                             f"shorter than the horizon {self.horizon!r} s")
+        return round(ratio)
 
     @property
     def readout(self) -> str:
         """The READOUTS entry that estimator and compare select."""
         return "filter" if self.estimator == "ngcf" else self.compare
+
+
+HomodyneLoop = namedtuple("HomodyneLoop", "lam sqrt_kappa two_ab two_ag delta")
+
+
+def homodyne_loop(compact: CompactPlant) -> HomodyneLoop:
+    """The loop constants of the plant that synthesis used: lambda = -a,
+    sqrt(kappa) = b1[0, 0], 2 alpha beta = 1 / d21[0, 1], 2 alpha gamma =
+    c1_nl and the delay model's lag delta.  Raises ValueError unless the plant
+    has the one-state homodyne shape (nbar = 1, q = 2, g = 1, m = l = 1) and a
+    nonzero c1_nl."""
+    p = compact.plant
+    shape = {"nbar": p.nbar, "q": p.q, "g": p.g, "m": p.m, "l": p.l}
+    if list(shape.values()) != [1, 2, 1, 1, 1]:
+        raise ValueError("the simulator integrates the one-state homodyne loop "
+                         f"(nbar = 1, q = 2, g = 1, m = l = 1), not a plant with {shape}")
+    if p.C1_nl[0][0, 0] == 0.0:
+        raise ValueError("c1_nl = 2 alpha gamma must be nonzero")
+    return HomodyneLoop(float(-p.A[0, 0]), float(p.B1[0, 0]), float(1.0 / p.D21[0, 1]),
+                        float(p.C1_nl[0][0, 0]), compact.aug.delay.delta)
 
 
 @dataclass(frozen=True)
@@ -166,40 +187,37 @@ def _readout(row, x):
     return sum(r * xr for r, xr in zip(row, x))
 
 
-def _step_matrix(cfg: SimConfig, gains: SynthesisSolution) -> np.ndarray:
+def _step_matrix(cfg: SimConfig, loop: HomodyneLoop, gains: SynthesisSolution) -> np.ndarray:
     """W with W [xhat; phi; sin e; sin z; dV; dW] = next [xhat; phi; e; z].
 
     dybar = (dt / beta) sin e + dt Cc xhat + noise and psi = sin z - beta z
     are linear apart from the two sines, so their linear parts sit in W."""
     n, dt = gains.Ac.shape[0], cfg.dt
-    gc = gains.Gc[:, :1] if gains.Gc.shape[1] else np.zeros((n, 1))
-    kc = gains.Kc[:1] if gains.Kc.shape[0] else np.zeros((1, n))
-    kc = kc / (2.0 * cfg.alpha * cfg.gamma)
+    gc, kc = gains.Gc, gains.Kc / loop.two_ag
     bc, cc = gains.Bc, gains.Cc
-    two_ab = 2.0 * cfg.alpha * cfg.beta_slope
     ax = np.eye(n) + (gains.Ac + bc @ cc - cfg.beta_slope * gc @ kc) * dt
-    w_noise = cfg.meas_noise_scale * math.sqrt(dt) / two_ab
+    w_noise = cfg.meas_noise_scale * math.sqrt(dt) / loop.two_ab
     zero = np.zeros((n, 1))
     phi_row = np.zeros((1, n + 5))
-    phi_row[0, [n, n + 3]] = 1.0 - cfg.lambda_ou * dt, math.sqrt(cfg.kappa) * math.sqrt(dt)
-    top = np.vstack([np.hstack([ax, zero, bc * (2.0 * cfg.alpha * dt / two_ab), gc * dt,
+    phi_row[0, [n, n + 3]] = 1.0 - loop.lam * dt, loop.sqrt_kappa * math.sqrt(dt)
+    top = np.vstack([np.hstack([ax, zero, bc * (dt / cfg.beta_slope), gc * dt,
                                 zero, bc * w_noise]), phi_row])
     to_ez = np.block([[-cc, np.ones((1, 1))], [kc, np.zeros((1, 1))]])
     return np.vstack([top, to_ez @ top])
 
 
-def _integrate(cfg: SimConfig, gains: SynthesisSolution, indices,
+def _integrate(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution, indices,
                record_trajectory: bool = False):
-    """Euler-Maruyama integration of the runs `indices`.  Returns the (3, runs)
-    errors in READOUTS order, alive flags, sector-violation counts and, when
-    recorded, the first run's phi and phihat after every step."""
-    if gains.Cc.shape[0] != 1:
-        raise ValueError("the homodyne simulator assumes a single estimated output")
+    """Euler-Maruyama integration of the runs `indices` of the compact plant's
+    loop.  Returns the (3, runs) errors in READOUTS order, alive flags,
+    sector-violation counts and, when recorded, the first run's phi and
+    phihat after every step."""
+    loop = homodyne_loop(compact)
+    w = _step_matrix(cfg, loop, gains)
     n = gains.Ac.shape[0]
     cc = gains.Cc[0]
     nruns = len(indices)
     width = max(nruns, 2)         # one column would take BLAS's gemv path
-    w = _step_matrix(cfg, gains)
     # rows: xhat (n), phi, e -> sin e, z -> sin z, dV, dW
     cur, nxt = ((y, y[n + 1], y[n + 1:n + 3], y[n + 3:], y[:n + 3])
                 for y in (np.zeros((n + 5, width)), np.zeros((n + 5, width))))
@@ -207,7 +225,7 @@ def _integrate(cfg: SimConfig, gains: SynthesisSolution, indices,
     phi_lag = np.zeros(width)
     alive = np.ones(width, dtype=bool)
     violations = np.zeros(width, dtype=np.int64)
-    snap_at = cfg.nsteps - cfg.lag_steps
+    snap_at = cfg.nsteps - cfg.lag_steps(loop.delta)
     traj = np.empty((2, cfg.nsteps)) if record_trajectory else None
 
     # diverging runs may overflow inside a chunk; they are detected and
@@ -251,11 +269,13 @@ def _report(errors, runs, diverged=0, violation_rate=0.0, keep_errors=True):
                             errors=errors if keep_errors else None)
 
 
-def simulate_run(cfg: SimConfig, gains: SynthesisSolution, run_index: int = 0,
-                 record_trajectory: bool = False) -> RunResult:
-    """Integrate a single run and return its terminal error sample."""
+def simulate_run(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution,
+                 run_index: int = 0, record_trajectory: bool = False) -> RunResult:
+    """Integrate a single run of the compact plant's loop under the gains and
+    return its terminal error sample."""
     cfg.validate()
-    errors, alive, violations, traj = _integrate(cfg, gains, [run_index], record_trajectory)
+    errors, alive, violations, traj = _integrate(cfg, compact, gains, [run_index],
+                                                 record_trajectory)
     return RunResult(
         error=float(errors[READOUTS.index(cfg.readout), 0]),
         diverged=not bool(alive[0]),
@@ -265,9 +285,10 @@ def simulate_run(cfg: SimConfig, gains: SynthesisSolution, run_index: int = 0,
     )
 
 
-def monte_carlo(cfg: SimConfig, gains: SynthesisSolution,
+def monte_carlo(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution,
                 keep_errors: bool = False, progress=None) -> MonteCarloReport:
-    """Estimate the terminal error covariance over cfg.runs independent runs.
+    """Estimate the terminal error covariance over cfg.runs independent runs
+    of the compact plant's loop under the gains.
 
     Runs whose estimate diverges are excluded and counted; the report is
     flagged unhealthy when more than 1 percent diverge.  standard_error is
@@ -278,7 +299,7 @@ def monte_carlo(cfg: SimConfig, gains: SynthesisSolution,
     cfg.validate()
     parts = []
     for indices in _batches(cfg.runs, cfg.batch):
-        parts.append(_integrate(cfg, gains, indices)[:3])
+        parts.append(_integrate(cfg, compact, gains, indices)[:3])
         if progress is not None:
             progress(indices.stop, cfg.runs)
     errors, alive, violations = (np.concatenate(p, axis=-1) for p in zip(*parts))

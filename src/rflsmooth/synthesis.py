@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 FEASIBILITY_SLACK = 1e-9
+INNER_MAXITER = 60        # SLSQP iterations over lambda per tau
+OUTER_XTOL = 5e-3         # tolerance of the bounded search over log tau
 
 
 @dataclass(frozen=True)
@@ -330,13 +332,11 @@ class OptimizationResult:
     solution: SynthesisSolution
     vtau: float
     trace: list = field(default_factory=list)
-    starts_used: int = 0
 
 
 def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
                    n_starts: int = 8, seed: int = 0, starts=None,
-                   lam_high: float = 1.0, inner_maxiter: int = 60,
-                   outer_xtol: float = 5e-3, delayed_target: bool = False,
+                   lam_high: float = 1.0, delayed_target: bool = False,
                    ) -> OptimizationResult:
     """Minimize the guaranteed cost bound over (tau, lambda).
 
@@ -369,14 +369,13 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         res = optimize.minimize_scalar(
             lambda lt: value(math.exp(lt), empty),
             bounds=(log_lo, log_hi), method="bounded",
-            options={"xatol": outer_xtol},
+            options={"xatol": OUTER_XTOL},
         )
         if res.fun >= penalty:
             raise InfeasibleError("no feasible tau found within the search bounds")
         sol = compute_gains(compact, ScalingPoint(lam=empty, tau=math.exp(res.x)),
                             delayed_target=delayed_target)
-        return OptimizationResult(point=sol.point, solution=sol, vtau=sol.Vtau,
-                                  trace=trace, starts_used=1)
+        return OptimizationResult(point=sol.point, solution=sol, vtau=sol.Vtau, trace=trace)
 
     def margin_of(lam):
         return feasible(compact, ScalingPoint(lam=lam, tau=1.0))[1]
@@ -412,7 +411,7 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
                 res = optimize.minimize(
                     lambda lam: value(tau, lam), lam0, method="SLSQP",
                     bounds=bounds, constraints=constraints,
-                    options={"maxiter": inner_maxiter, "ftol": 1e-10},
+                    options={"maxiter": INNER_MAXITER, "ftol": 1e-10},
                 )
             lam_opt = res.x if margin_of(res.x) >= 0 else lam0
             return value(tau, lam_opt), lam_opt
@@ -420,7 +419,7 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         scan = optimize.minimize_scalar(
             lambda lt: tau_profile(lt)[0],
             bounds=(log_lo, log_hi), method="bounded",
-            options={"xatol": outer_xtol},
+            options={"xatol": OUTER_XTOL},
         )
         v_here, lam_here = tau_profile(scan.x)
         if v_here < penalty and (best is None or _better(v_here, lam_here, best)):
@@ -431,8 +430,7 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
     _, tau_best, lam_best = best
     sol = compute_gains(compact, ScalingPoint(lam=lam_best, tau=tau_best),
                         delayed_target=delayed_target)
-    return OptimizationResult(point=sol.point, solution=sol, vtau=sol.Vtau,
-                              trace=trace, starts_used=len(starts))
+    return OptimizationResult(point=sol.point, solution=sol, vtau=sol.Vtau, trace=trace)
 
 
 def _better(v, lam, best):

@@ -107,7 +107,7 @@ def test_criterion_5_monte_carlo_levels():
     compact = phase_estimation_compact(realization="paper")
     sol = compute_gains(compact, reference_scaling_point())
     base = SimConfig(runs=2000, master_seed=42)
-    smo = monte_carlo(base, sol)
+    smo = monte_carlo(base, compact, sol)
     ngcf = smo.readouts["filter"]          # same runs, same pass
 
     ref_s, ref_f = REFERENCE["mc_smoother"], REFERENCE["mc_ngcf"]

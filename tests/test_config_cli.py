@@ -68,7 +68,7 @@ class TestConfig:
         point, settings = scaling_from_config(doc)
         assert point is not None and point.tau == 1.13e-6
         assert settings["n_starts"] == 8
-        cfg = sim_from_config(doc)
+        cfg = sim_from_config(doc, compact_from_config(doc))
         assert cfg.runs == 2000
 
     def test_bundled_compact_matches_example(self, paper_compact):
@@ -102,11 +102,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="C2"):
             plant_from_config(load_config(path))
 
-    def test_sim_unknown_key(self, tmp_path):
+    def test_sim_unknown_key(self, tmp_path, paper_compact):
         path = tmp_path / "sim.cfg"
         path.write_text("[simulation]\nwarp = 9\n")
         with pytest.raises(ConfigError, match="warp"):
-            sim_from_config(load_config(path))
+            sim_from_config(load_config(path), paper_compact)
+
+    def test_sim_physics_keys_optional(self, tmp_path, paper_compact):
+        path = tmp_path / "sim.cfg"
+        path.write_text("[simulation]\nruns = 3\n")
+        assert sim_from_config(load_config(path), paper_compact).runs == 3
 
 
 class TestCli:
@@ -214,6 +219,58 @@ class TestCli:
             err = capsys.readouterr().err
             assert "[simulation] delta" in err and "[delay] delta" in err
         assert not (tmp_path / "o" / "monte_carlo.json").exists()
+
+    @pytest.mark.parametrize("key,value,source", [
+        ("kappa", 4.0e4, "[plant] b1"), ("lambda_ou", 9.14e3, "[plant] a"),
+        ("alpha", 1162.0, "[plant] d21"), ("gamma", 0.4, "[plant] c1_nl"),
+        ("delta", 3.1e-6, "[delay] delta")], ids=["kappa", "lambda_ou", "alpha", "gamma", "delta"])
+    def test_simulation_physics_must_match_plant(self, tmp_path, capsys, monkeypatch,
+                                                 key, value, source):
+        """A [simulation] physics key 1e-6 off the value its [plant]/[delay]
+        entry implies fails before any synthesis; the bundled values pass."""
+        head, sim = fast_config(tmp_path).read_text().split("[simulation]")
+        line = next(ln for ln in sim.splitlines() if ln.startswith(f"{key} = "))
+        assert json.loads(line.split("=")[1]) == value
+        bad = tmp_path / "physics.cfg"
+        bad.write_text(head + "[simulation]"
+                       + sim.replace(line, f"{key} = {value * (1 + 1e-6)!r}"))
+        monkeypatch.setattr(cli, "compute_gains", lambda *a, **k: pytest.fail("synthesized"))
+        for command in ("validate", "mc"):
+            code = cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"[simulation] {key}" in err and source in err
+        assert cli.main(["validate", "--config", str(fast_config(tmp_path))]) == 0
+
+    def test_lag_longer_than_horizon_rejected(self, tmp_path, capsys):
+        """A 310-step lag in a 200-step run would compare against phi = 0."""
+        bad = tmp_path / "short.cfg"
+        bad.write_text(fast_config(tmp_path).read_text().replace(
+            "dt = 1.0e-7\nhorizon = 5.0e-5", "dt = 1.0e-8\nhorizon = 2.0e-6"))
+        for command in ("validate", "mc"):
+            code = cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "[delay] delta" in err and "[simulation] horizon" in err
+        assert not (tmp_path / "o" / "monte_carlo.json").exists()
+
+    @pytest.mark.parametrize("old,new,section", [
+        ("c0 = [[1.0]]", "c0 = [[1.0], [2.0]]", "[delay]"),
+        ("[synthesis]\n", "[synthesis]\nj21 = [[-1.0]]\n", "[synthesis]"),
+        ("order = 2", 'order = "x"', "[delay]"),
+        ("[synthesis]\n", '[synthesis]\nn_starts = "x"\n', "[synthesis]"),
+        ("tau = 1.13e-6", 'tau = "x"', "[synthesis]")],
+        ids=["c0", "j21", "order", "n_starts", "tau"])
+    def test_bad_plant_delay_or_synthesis_exits_config(self, tmp_path, capsys, old, new,
+                                                        section):
+        text = fast_config(tmp_path).read_text()
+        assert old in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(old, new, 1))
+        for command in ("validate", "synth"):
+            code = cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            assert section in capsys.readouterr().err
 
     def test_reproduce_paper(self, tmp_path):
         out = tmp_path / "rep"

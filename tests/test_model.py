@@ -3,9 +3,8 @@ import pytest
 
 from rflsmooth.delay import identity_delay, pade_delay
 from rflsmooth.errors import DimensionError, InfeasibleError
-from rflsmooth.example import REFERENCE, phase_estimation_bank, phase_estimation_plant
+from rflsmooth.example import REFERENCE, phase_estimation_plant
 from rflsmooth.model import (
-    NonlinearityBank,
     UncertainPlant,
     augment_with_delay,
     build_compact,
@@ -181,16 +180,3 @@ class TestCompact:
         aug = augment_with_delay(example_plant, pade_delay(2, 3.1e-6))
         with pytest.raises(ValueError):
             build_compact(aug, j21=np.array([[-1.0]]))
-
-
-class TestNonlinearityBank:
-    def test_example_bank_valid(self, params):
-        assert phase_estimation_bank(params).validate(span=900.0) == []
-
-    def test_nonvanishing_origin(self):
-        bank = NonlinearityBank(psi=(lambda v: v + 1.0,), beta=(1.0,))
-        assert any("origin" in msg for msg in bank.validate())
-
-    def test_lipschitz_violation(self):
-        bank = NonlinearityBank(psi=(lambda v: 2.0 * v,), beta=(1.0,))
-        assert any("Lipschitz" in msg for msg in bank.validate())

@@ -37,6 +37,11 @@ def lyap_kron_oracle(a, w):
     return np.linalg.solve(k, -w.reshape(-1, order="F")).reshape((n, n), order="F")
 
 
+def closed_loop_abscissa(x, a, s):
+    """Largest real part of eig(A + S X): negative for a stabilizing X."""
+    return np.linalg.eigvals(np.asarray(a) + np.asarray(s) @ x).real.max()
+
+
 def random_lqr_problem(rng, n):
     a = random_hurwitz(rng, n)
     b = rng.standard_normal((n, 2))
@@ -48,7 +53,7 @@ class TestCare:
     def test_scalar_pure_quadratic(self):
         sol = solve_care(RiccatiProblem(a=[[0.0]], q=[[1.0]], s=[[-1.0]]))
         np.testing.assert_allclose(sol.x, [[1.0]], rtol=1e-12)
-        assert sol.stabilizing
+        assert closed_loop_abscissa(sol.x, [[0.0]], [[-1.0]]) < 0
 
     def test_scalar_linear(self):
         a = 1.7
@@ -65,7 +70,7 @@ class TestCare:
             err = np.linalg.norm(sol.x - oracle) / (1.0 + np.linalg.norm(oracle))
             assert err <= 1e-8
             assert sol.residual <= 1e-8 * (1.0 + np.linalg.norm(sol.x) ** 2)
-            assert sol.stabilizing
+            assert closed_loop_abscissa(sol.x, prob.a, prob.s) < 0
 
     def test_inverse_duality(self):
         # if X > 0 solves (A, S, Q), then X^-1 is the stabilizing solution of
