@@ -74,7 +74,7 @@ def _load(args):
 
 
 def _solution(compact, doc, args):
-    point, settings = scaling_from_config(doc)
+    point, settings = scaling_from_config(doc, compact.ktilde)
     delayed = args.target_output == "delayed"
     seed = args.seed if args.seed is not None else settings["seed"]
     if point is not None:
@@ -174,11 +174,18 @@ def cmd_reproduce(args) -> int:
 
 def cmd_validate(args) -> int:
     config_path, doc, compact = _load(args)
-    scaling_from_config(doc)
+    scaling_from_config(doc, compact.ktilde)
     if "simulation" in doc:
         sim_from_config(doc, compact)
     print(f"{config_path}: OK")
     return EXIT_OK
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="configuration file (default: bundled example)")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
+        p.add_argument("--seed", type=_seed, default=None, help="master seed override")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--paper-realization", action="store_true",
                        help="use the published power-of-two delay realization")

@@ -116,23 +116,37 @@ def delay_from_config(doc: dict, paper_realization: bool = False):
         raise ConfigError(f"[delay] invalid: {exc}") from exc
 
 
-def scaling_from_config(doc: dict):
+def scaling_from_config(doc: dict, ktilde: int = None):
     """Pinned scaling point from [synthesis], or None when the point is to be
-    optimized.  Also returns the optimizer settings dictionary."""
+    optimized.  Also returns the optimizer settings dictionary.  With the
+    plant's `ktilde`, a pinned lambda must have that many entries."""
     sec = doc.get("synthesis", {})
     try:
         settings = {
-            "tau_bounds": tuple(sec.get("tau_bounds", (1e-8, 1e-3))),
+            "tau_bounds": tuple(float(t) for t in sec.get("tau_bounds", (1e-8, 1e-3))),
             "n_starts": int(sec.get("n_starts", 8)),
             "seed": int(sec.get("seed", 0)),
             "lam_high": float(sec.get("lambda_high", 1.0)),
         }
+        point = None
         if "tau" in sec and "lambda" in sec:
-            return ScalingPoint(lam=np.asarray(sec["lambda"], dtype=float),
-                                tau=float(sec["tau"])), settings
+            point = ScalingPoint(lam=np.asarray(sec["lambda"], dtype=float),
+                                 tau=float(sec["tau"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[synthesis] invalid: {exc}") from exc
-    return None, settings
+    bounds = settings["tau_bounds"]
+    for ok, problem in (
+            (len(bounds) == 2 and 0 < bounds[0] < bounds[-1] < math.inf,
+             f"tau_bounds = {list(bounds)} is not [low, high] with 0 < low < high"),
+            (settings["n_starts"] >= 1, f"n_starts = {settings['n_starts']} is below 1"),
+            (settings["seed"] >= 0, f"seed = {settings['seed']} is negative"),
+            (settings["lam_high"] > 0, f"lambda_high = {settings['lam_high']} is not positive"),
+            (point is None or ktilde is None or point.lam.size == ktilde,
+             f"lambda has {0 if point is None else point.lam.size} entries, "
+             f"the plant has {ktilde} scalings")):
+        if not ok:
+            raise ConfigError(f"[synthesis] {problem}")
+    return point, settings
 
 
 def sim_from_config(doc: dict, compact, **overrides) -> SimConfig:

@@ -13,6 +13,7 @@ one real Schur form gives the Hurwitz test and a triangular Sylvester solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +83,15 @@ def care_residual(prob: RiccatiProblem, x: np.ndarray) -> float:
 
 
 def _hamiltonian_schur(prob: RiccatiProblem, imag_tol: float):
+    """Stabilizing solution from one ordered real Schur form of the Hamiltonian,
+    which also gives the imaginary-axis test."""
     n = prob.n
-    ham = np.block([[prob.a, prob.s], [-prob.q, -prob.a.T]])
-    eigs = np.linalg.eigvals(ham)
+    ham = np.empty((2 * n, 2 * n))
+    ham[:n, :n], ham[:n, n:], ham[n:, :n], ham[n:, n:] = prob.a, prob.s, -prob.q, -prob.a.T
+    t, z, sdim = sla.schur(ham, sort="lhp")
+    eigs = np.diag(t).astype(complex)
+    for i in np.flatnonzero(np.diag(t, -1)):        # 2x2 block [[a, b], [c, a]]: a +- i sqrt(-bc)
+        eigs[i:i + 2] += np.array([1j, -1j]) * math.sqrt(-t[i, i + 1] * t[i + 1, i])
     scale = max(1.0, np.abs(eigs).max())
     near_axis = eigs[np.abs(eigs.real) <= imag_tol * scale]
     if near_axis.size > 0:
@@ -93,7 +100,6 @@ def _hamiltonian_schur(prob: RiccatiProblem, imag_tol: float):
             "no stabilizing Riccati solution exists",
             eigenvalues=near_axis,
         )
-    _, z, sdim = sla.schur(ham, sort="lhp")
     if sdim != n:
         raise InfeasibleError(
             f"stable invariant subspace has dimension {sdim}, expected {n}",

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -59,9 +58,10 @@ __all__ = [
     "solution_to_json",
 ]
 
-FEASIBILITY_SLACK = 1e-9
-INNER_MAXITER = 60        # SLSQP iterations over lambda per tau
-OUTER_XTOL = 5e-3         # tolerance of the bounded search over log tau
+MU_PATH = 10.0 ** -np.arange(0.0, 8.1, 0.5)   # barrier weights of the path, 1 to 1e-8
+FD_STEPS = (1e-5, 1e-3)   # difference steps of V: forward in log tau, back in log lambda
+NEWTON_STEPS = 10         # most Newton steps at one barrier weight
+FLOOR = 1e-10             # least lambda_i and eig(M) over the largest; V loses digits below
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,10 @@ def _admissibility(compact: CompactPlant, lam: np.ndarray):
     mult = assemble_multipliers(compact, lam)
     if np.linalg.eigvalsh(mult.M).min() <= 0:
         return -math.inf, mult, None
-    minv = np.linalg.inv(mult.M)
+    try:
+        minv = np.linalg.inv(mult.M)
+    except np.linalg.LinAlgError:       # singular to working precision
+        return -math.inf, mult, None
     gap = minv - compact.J @ compact.J.T
     return float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()), mult, minv
 
@@ -334,110 +337,165 @@ class OptimizationResult:
     trace: list = field(default_factory=list)
 
 
+def _barrier(m_terms, s_terms, bounds, x):
+    """Log barrier of x = (log tau, lambda): -log det M - log det(I - J'MJ)
+    - sum log lambda_i - log(log tau - lo) - log(hi - log tau), M = sum lambda_i
+    M_i (m_terms, s_terms stack M_i and J'M_i J), with its gradient and Hessian;
+    None outside the open set or below FLOOR."""
+    lam, t = x[1:], np.array([x[0] - bounds[0], bounds[1] - x[0]])
+    w = lam[:, None, None]
+    m, s = (w * m_terms).sum(axis=0), np.eye(s_terms.shape[1]) - (w * s_terms).sum(axis=0)
+    try:
+        ev = np.linalg.eigvalsh(m)
+        floor = FLOOR * max(lam.max(initial=0.0), ev.max(initial=0.0))
+        if t.min() <= 0 or min(lam.min(initial=np.inf), ev.min(initial=np.inf)) <= floor:
+            return None
+        logdet = np.log(ev).sum() + 2.0 * np.log(np.diag(np.linalg.cholesky(s))).sum()
+        a, c = np.linalg.solve(m, m_terms), np.linalg.solve(s, s_terms)
+    except np.linalg.LinAlgError:
+        return None
+    grad = np.r_[1.0 / t[1] - 1.0 / t[0],
+                 np.trace(c, axis1=1, axis2=2) - np.trace(a, axis1=1, axis2=2) - 1.0 / lam]
+    hess = np.zeros((x.size, x.size))
+    hess[0, 0] = (t ** -2.0).sum()
+    hess[1:, 1:] = (np.einsum("iab,jba->ij", a, a) + np.einsum("iab,jba->ij", c, c)
+                    + np.diag(lam ** -2.0))
+    return -logdet - np.log(lam).sum() - np.log(t).sum(), grad, hess
+
+
+def _backtrack(fun, x, f, d, slope):
+    """First of x + d, x + d/2, ... (40 at most) where fun(y) is defined and
+    its first entry at most f + 1e-4 t slope, as (y, fun(y)); else None."""
+    for t in 0.5 ** np.arange(40):
+        if (fy := fun(x + t * d)) is not None and fy[0] <= f + 1e-4 * t * slope:
+            return x + t * d, fy
+    return None
+
+
+def _bfgs(h, s, y):
+    """Damped (Powell) BFGS update of the Hessian model h by a step s and its
+    gradient change y; a zero model starts as the scaled identity y'y/s'y."""
+    if not h.any() and s @ y > 0:
+        h = (y @ y / (s @ y)) * np.eye(s.size)
+    hs = h @ s
+    if not s @ hs > 0:
+        return h
+    theta = 0.8 * (s @ hs) / (s @ hs - s @ y) if s @ y < 0.2 * (s @ hs) else 1.0
+    r = theta * y + (1.0 - theta) * hs
+    return h + np.outer(r, r) / (s @ r) - np.outer(hs, hs) / (s @ hs)
+
+
+def _golden(f, a, b, tol=1e-4):
+    """Golden-section minimum of f on [a, b].  It only compares values, so f
+    may be inf where it has none; ties move the bracket up, toward the large
+    tau where V exists."""
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return c if fc < fd else d
+
+
 def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
                    n_starts: int = 8, seed: int = 0, starts=None,
                    lam_high: float = 1.0, delayed_target: bool = False,
                    ) -> OptimizationResult:
-    """Minimize the guaranteed cost bound over (tau, lambda).
+    """Minimize the guaranteed cost bound V over (tau, lambda) along one
+    barrier path: V + mu B(x) in x = (log tau, lambda) for each mu in MU_PATH.
 
-    A projected SLSQP search over lambda inside the admissible set is nested
-    in a bounded scalar search over log tau, restarted from `n_starts`
-    feasible points drawn deterministically from `seed` (or from explicit
-    `starts`).  Returns the best feasible point found together with its
-    synthesis solution and the full search trace.
-
-    Raises InfeasibleError when no feasible start can be found.
+    Newton steps take B's exact gradient and Hessian, a difference gradient of
+    V and a damped BFGS model of V's Hessian (both in log tau and log lambda);
+    backtracking keeps each iterate inside B's domain, and an evaluation that
+    raises has no value.  The first start is the LMI set's analytic centre,
+    then n_starts - 1 admissible draws from [0, lam_high)^k by `seed`; explicit
+    `starts` replace them all.  Each takes tau from a golden-section search.
+    Returns the lowest V evaluated, with one trace entry (tau, lambda, V) per
+    start and accepted step.  Raises InfeasibleError when no V was evaluated.
     """
-    from scipy import optimize  # imported here: ~0.3 s that no other command needs
-    kt = compact.ktilde
-    rng = np.random.default_rng(seed)
-    log_lo, log_hi = math.log(tau_bounds[0]), math.log(tau_bounds[1])
-    trace = []
-    penalty = 1e9
+    kt, bounds = compact.ktilde, (math.log(tau_bounds[0]), math.log(tau_bounds[1]))
+    m_terms, trace, best = compact.M_stack, [], None
+    barrier = partial(_barrier, m_terms, compact.J.T @ m_terms @ compact.J, bounds)
 
-    def value(tau, lam):
+    def value(x):
+        nonlocal best
         try:
-            sol = compute_gains(compact, ScalingPoint(lam=lam, tau=tau),
+            sol = compute_gains(compact, ScalingPoint(lam=x[1:], tau=math.exp(x[0])),
                                 delayed_target=delayed_target)
         except (InfeasibleError, NumericalError, np.linalg.LinAlgError):
-            return penalty
-        trace.append((float(tau), [float(v) for v in lam], sol.Vtau))
+            return math.inf
+        best = sol if best is None or sol.Vtau < best.Vtau else best
         return sol.Vtau
 
-    if kt == 0:
-        empty = np.zeros(0)
-        res = optimize.minimize_scalar(
-            lambda lt: value(math.exp(lt), empty),
-            bounds=(log_lo, log_hi), method="bounded",
-            options={"xatol": OUTER_XTOL},
-        )
-        if res.fun >= penalty:
-            raise InfeasibleError("no feasible tau found within the search bounds")
-        sol = compute_gains(compact, ScalingPoint(lam=empty, tau=math.exp(res.x)),
-                            delayed_target=delayed_target)
-        return OptimizationResult(point=sol.point, solution=sol, vtau=sol.Vtau, trace=trace)
+    def gradient(x, v):
+        """V's difference gradient in (log tau, log lambda), forward in tau and
+        backward in lambda (which stays admissible); None if a probe raises."""
+        g = np.empty(x.size)
+        for i, du in enumerate(np.r_[FD_STEPS[0], np.full(kt, -FD_STEPS[1])]):
+            probe = x.copy()
+            probe[i] = x[i] + du if i == 0 else x[i] * math.exp(du)
+            if (vp := value(probe)) == math.inf:
+                return None
+            g[i] = (vp - v) / du
+        return g
 
-    def margin_of(lam):
-        return feasible(compact, ScalingPoint(lam=lam, tau=1.0))[1]
+    def follow(x):
+        """The barrier path from x through MU_PATH; each accepted step is traced."""
+        def phi(y):
+            by = barrier(y)
+            return None if by is None else ((vy := value(y)) + mu * by[0], vy)
+
+        if barrier(x) is None or (v := value(x)) == math.inf or (gu := gradient(x, v)) is None:
+            return
+        trace.append((math.exp(x[0]), x[1:].tolist(), v))
+        hv = np.zeros((x.size, x.size))
+        for mu in MU_PATH:
+            for _ in range(NEWTON_STEPS):
+                b, gb, hb = barrier(x)
+                scale = np.r_[1.0, x[1:]]                # dx / d(log tau, log lambda)
+                g = gu / scale + mu * gb
+                hc = mu * hb                             # stop near the path in B's metric,
+                hc[0, 0] += hv[0, 0]                     # not the BFGS one, which can overshoot
+                if g @ np.linalg.solve(hc, g) <= 0.1 * mu:
+                    break
+                d = -np.linalg.solve(hv / np.outer(scale, scale) + mu * hb, g)
+                if (step := _backtrack(phi, x, v + mu * b, d, g @ d)) is None:
+                    break
+                y, (_, v) = step
+                if (gy := gradient(y, v)) is None:
+                    return
+                hv = _bfgs(hv, np.r_[y[0] - x[0], np.log(y[1:] / x[1:])], gy - gu)
+                x, gu = y, gy
+                trace.append((math.exp(x[0]), x[1:].tolist(), v))
 
     if starts is None:
-        starts = []
-        attempts = 0
-        while len(starts) < n_starts and attempts < 200 * n_starts:
-            cand = rng.uniform(FEASIBILITY_SLACK, lam_high, size=kt)
-            attempts += 1
-            if margin_of(cand) > FEASIBILITY_SLACK:
+        s_sum = compact.J.T @ m_terms.sum(axis=0) @ compact.J
+        t = 0.5 / max(np.linalg.eigvalsh(s_sum).max(initial=0), 1.0)   # I - t s_sum > 0
+        x = np.r_[sum(bounds) / 2, np.full(kt, t)]
+        for _ in range(50):                          # damped Newton to the analytic centre
+            b, g, h = barrier(x)
+            d = -np.linalg.solve(h, g)
+            if -(g @ d) < 1e-12 or (step := _backtrack(barrier, x, b, d, g @ d)) is None:
+                break
+            x = step[0]
+        starts, rng = [x[1:]], np.random.default_rng(seed)
+        for _ in range(200 * (n_starts - 1) if kt else 0):
+            if len(starts) == n_starts:
+                break
+            if barrier(np.r_[x[0], cand := rng.uniform(0.0, lam_high, size=kt)]) is not None:
                 starts.append(cand)
-        if not starts:
-            raise InfeasibleError(
-                "no feasible scaling vector found within the sampling budget"
-            )
-    else:
-        starts = [np.asarray(s, dtype=float) for s in starts]
-
-    constraints = [
-        {"type": "ineq", "fun": lambda lam: lam - FEASIBILITY_SLACK},
-        {"type": "ineq", "fun": lambda lam: margin_of(lam) - FEASIBILITY_SLACK},
-    ]
-    bounds = [(FEASIBILITY_SLACK, None)] * kt
-
-    best = None
-    for lam0 in starts:
-        def tau_profile(log_tau, lam0=lam0):
-            tau = math.exp(log_tau)
-            with warnings.catch_warnings():
-                # finite-difference probes step onto the penalty cliff
-                warnings.simplefilter("ignore", RuntimeWarning)
-                res = optimize.minimize(
-                    lambda lam: value(tau, lam), lam0, method="SLSQP",
-                    bounds=bounds, constraints=constraints,
-                    options={"maxiter": INNER_MAXITER, "ftol": 1e-10},
-                )
-            lam_opt = res.x if margin_of(res.x) >= 0 else lam0
-            return value(tau, lam_opt), lam_opt
-
-        scan = optimize.minimize_scalar(
-            lambda lt: tau_profile(lt)[0],
-            bounds=(log_lo, log_hi), method="bounded",
-            options={"xatol": OUTER_XTOL},
-        )
-        v_here, lam_here = tau_profile(scan.x)
-        if v_here < penalty and (best is None or _better(v_here, lam_here, best)):
-            best = (v_here, math.exp(scan.x), lam_here)
-
+    for lam0 in np.asarray(starts, dtype=float).reshape(len(starts), kt):
+        follow(np.r_[_golden(lambda s: value(np.r_[s, lam0]), *bounds), lam0])
     if best is None:
-        raise InfeasibleError("optimizer found no feasible point within budget")
-    _, tau_best, lam_best = best
-    sol = compute_gains(compact, ScalingPoint(lam=lam_best, tau=tau_best),
-                        delayed_target=delayed_target)
-    return OptimizationResult(point=sol.point, solution=sol, vtau=sol.Vtau, trace=trace)
-
-
-def _better(v, lam, best):
-    v_best, _, lam_best = best
-    if abs(v - v_best) > 1e-12 * (1.0 + abs(v_best)):
-        return v < v_best
-    return tuple(lam) < tuple(lam_best)      # deterministic tie break
+        raise InfeasibleError("no scaling point in the search gives a bound")
+    return OptimizationResult(point=best.point, solution=best, vtau=best.Vtau, trace=trace)
 
 
 def solution_to_json(sol: SynthesisSolution, extra: dict = None) -> str:

@@ -272,6 +272,40 @@ class TestCli:
             assert code == cli.EXIT_CONFIG
             assert section in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("tau = 1.13e-6\n", "tau_bounds = [0.0, 1e-3]\n", "tau_bounds"),
+        ("tau = 1.13e-6\n", "tau_bounds = [1e-3, 1e-8]\n", "tau_bounds"),
+        ("tau = 1.13e-6\n", "tau_bounds = [1e-6]\n", "tau_bounds"),
+        ("tau = 1.13e-6\n", "lambda_high = -1.0\n", "lambda_high"),
+        ("tau = 1.13e-6\n", "n_starts = 0\n", "n_starts"),
+        ("lambda = [0.9727, 0.4831, 0.0015, 0.0014]", "lambda = [0.9727, 0.4831, 0.0015]",
+         "lambda")],
+        ids=["tau_low_zero", "tau_reversed", "tau_one_entry", "lambda_high", "n_starts",
+             "lambda_length"])
+    def test_bad_optimizer_setting_exits_config(self, tmp_path, capsys, old, new, key):
+        """Settings the optimizer cannot use fail in validate and synth,
+        naming the key, before any synthesis."""
+        text = fast_config(tmp_path).read_text()
+        assert old in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(old, new, 1))
+        for command in ("validate", "synth"):
+            code = cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            assert f"[synthesis] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "synthesis.json").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "mc"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        free = tmp_path / "free.cfg"
+        free.write_text(fast_config(tmp_path).read_text().replace("tau = 1.13e-6\n", ""))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(free), "--seed", "-1",
+                      "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_reproduce_paper(self, tmp_path):
         out = tmp_path / "rep"
         code = cli.main(["reproduce-paper", "--out-dir", str(out)])
@@ -328,6 +362,19 @@ class TestProcess:
             artifacts[threads] = ((out / "synth" / "synthesis.json").read_bytes(),
                                   (out / "sweep" / "sweep.csv").read_bytes())
         assert artifacts[1] == artifacts[2]
+
+    def test_optimized_bound_independent_of_blas_threads(self, tmp_path):
+        """One optimizer start (the analytic centre) under one and two threads."""
+        cfg = tmp_path / "free.cfg"
+        cfg.write_text(bundled_example_path().read_text()
+                       .replace("tau = 1.13e-6\n", "").replace("n_starts = 8", "n_starts = 1"))
+        vtau = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            run_python(["-m", "rflsmooth.cli", "synth", "--config", str(cfg),
+                        "--paper-realization", "--out-dir", str(out)], threads)
+            vtau.append(json.loads((out / "synthesis.json").read_text())["Vtau"])
+        assert abs(vtau[0] - vtau[1]) <= 1e-8 * vtau[0]
 
     def test_mc_errors_independent_of_blas_threads_and_batch(self, tmp_path):
         """Three runs in one batch and in batches of one, under one and two

@@ -108,6 +108,24 @@ class TestCare:
             assert res == care_residual(prob, x)
             np.testing.assert_allclose(x, oracle, rtol=1e-8, atol=1e-10 * np.linalg.norm(oracle))
 
+    def test_solve_is_one_schur_form(self, monkeypatch):
+        """The ordered Schur form of the Hamiltonian gives both the solution
+        and the imaginary-axis test; no eigenvalue call is made."""
+        rng = np.random.default_rng(5)
+        problems = [random_lqr_problem(rng, 4) for _ in range(4)]
+        calls = {"schur": 0, "eigvals": 0}
+        for module, name in ((sla, "schur"), (np.linalg, "eigvals")):
+            fn = getattr(module, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        for prob in problems:
+            solve_care(prob)
+        assert calls == {"schur": 4, "eigvals": 0}
+
     def test_residual_helper(self):
         prob = RiccatiProblem(a=[[-1.0]], q=[[2.0]], s=[[0.0]])
         assert care_residual(prob, np.array([[1.0]])) == 0.0

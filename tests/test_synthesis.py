@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rflsmooth import synthesis
+from rflsmooth.config import bundled_example_path, compact_from_config, load_config
 from rflsmooth.delay import identity_delay
 from rflsmooth.errors import CouplingError, InfeasibleError
 from rflsmooth.example import REFERENCE
@@ -145,6 +148,45 @@ class TestFeasibility:
         compact = scalar_compact()
         ok, margin = feasible(compact, ScalingPoint(lam=np.zeros(0), tau=1.0))
         assert ok and margin == np.inf
+
+
+@st.composite
+def plants_and_scalings(draw):
+    """Two-state plants with k uncertainty channels and g nonlinearities whose
+    noise factors through the stacked input (so J exists), and lambda >= 0."""
+    k, g = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    beta = tuple(draw(st.floats(0.5, 2.0)) for _ in range(g))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b_unc, b_nl = ([rng.standard_normal((2, 1)) for _ in range(n)] for n in (k, g))
+    d_unc, d_nl = ([rng.standard_normal((1, 1)) for _ in range(n)] for n in (k, g))
+    jtop = rng.standard_normal((k + g, 2))
+    b1, d21 = (np.hstack(m) @ jtop if k + g else rng.standard_normal((r, 2))
+               for m, r in ((b_unc + b_nl, 2), (d_unc + d_nl, 1)))
+    plant = UncertainPlant(
+        A=[[-1.0, 0.3], [0.0, -2.0]], B1=b1, C0=[[1.0, 0.0]], C2=[[0.5, 1.0]], D21=d21,
+        B1_nl=b_nl, C1_nl=[rng.standard_normal((1, 2)) for _ in range(g)], D21_nl=d_nl,
+        B1_unc=b_unc, C1_unc=[rng.standard_normal((1, 2)) for _ in range(k)], D21_unc=d_unc,
+        beta=beta, S0=[np.eye(1)] * k,
+    )
+    compact = build_compact(augment_with_delay(plant, identity_delay(1)), d0=0.0)
+    lam = rng.uniform(0.0, 1.5, compact.ktilde) * (rng.uniform(size=compact.ktilde) > 0.1)
+    return compact, lam
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(plants_and_scalings())
+def test_feasible_matches_lmi_form(case):
+    """Away from the boundary, feasible agrees with the LMI form the bound
+    search uses: M(lambda) > 0 and I - J'M(lambda)J >= 0."""
+    compact, lam = case
+    ok, margin = feasible(compact, ScalingPoint(lam=lam, tau=1.0))
+    if abs(margin) <= 1e-9:
+        return
+    m = assemble_multipliers(compact, lam).M if compact.ktilde else np.zeros((0, 0))
+    j = compact.J
+    lmi = (np.linalg.eigvalsh(m).min(initial=np.inf) > 0
+           and np.linalg.eigvalsh(np.eye(j.shape[1]) - j.T @ m @ j).min(initial=np.inf) >= 0)
+    assert ok == lmi, (lam, margin)
 
 
 class TestRiccatis:
@@ -358,3 +400,40 @@ class TestMinimizeBound:
         result = minimize_bound(compact, tau_bounds=(1e-2, 1e2))
         assert result.point.lam.size == 0
         assert np.isfinite(result.vtau)
+
+
+class TestBarrierPath:
+    """The bound search is one barrier path: its optimum does not depend on
+    the start, the BLAS thread count or the last bit of d21."""
+
+    def test_seeded_starts_reach_the_same_optimum(self, paper_compact):
+        values = []
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lam = rng.uniform(1e-9, 1.0, 4)
+            while feasible(paper_compact, ScalingPoint(lam=lam, tau=1.0))[1] <= 1e-9:
+                lam = rng.uniform(1e-9, 1.0, 4)
+            values.append(minimize_bound(paper_compact, starts=[lam]).vtau)
+        assert max(values) <= 0.1217
+        assert max(values) - min(values) <= 1e-4 * min(values)
+
+    def test_bundled_config_matches_example(self, paper_compact):
+        """The bundled d21 is one ulp from the example's 1/(2*1162)."""
+        bundled = compact_from_config(load_config(bundled_example_path()),
+                                      paper_realization=True)
+        assert bundled.Db21[0, 1] != paper_compact.Db21[0, 1]
+        a = minimize_bound(bundled, n_starts=1).vtau
+        b = minimize_bound(paper_compact, n_starts=1).vtau
+        assert a <= 0.1217 and abs(a - b) <= 1e-4 * b
+
+    def test_first_start_is_the_analytic_centre(self, paper_compact):
+        """One start is the centre of the LMI set, where the barrier gradient
+        vanishes, whatever the seed."""
+        a = minimize_bound(paper_compact, n_starts=1, seed=0)
+        b = minimize_bound(paper_compact, n_starts=1, seed=5)
+        assert a.trace == b.trace and len(a.trace) <= 1200
+        m_terms, bounds = paper_compact.M_stack, (np.log(1e-8), np.log(1e-3))
+        x = np.r_[sum(bounds) / 2, a.trace[0][1]]
+        grad = synthesis._barrier(m_terms, paper_compact.J.T @ m_terms @ paper_compact.J,
+                                  bounds, x)[1]
+        assert np.abs(grad).max() <= 1e-6
