@@ -15,26 +15,31 @@ The constants come from the compact plant the gains were synthesized for
 (homodyne_loop); it fixes only alpha beta and alpha gamma, so beta alone,
 which sin e / beta and psi's -beta z need, is SimConfig.beta_slope.
 
-A batch is one (n+5, runs) array Y = [xhat; phi; e; z; dV; dW], a column
-per run, with e = phi - Cc xhat and z = Kc xhat / (2 alpha gamma).  A step
-stores e for the sector-violation count, takes the sines of the e and z rows
-in place, copies its two normals into the last rows and makes one product
-with a fixed (n+3)x(n+5) matrix W that gives the next [xhat; phi; e; z].
-All but the two sines is linear, so W holds dybar's phihat dt term, psi's
--beta z term, the constants and the noise scales.  One pass yields all
+A batch integrates in a slab (slab + 1, n + 7, runs) whose entry j holds
+step j's rows [e; z; xhat; phi; sin e; sin z; dV; dW], a column per run,
+with e = phi - Cc xhat, z = Kc xhat / (2 alpha gamma) and the two normals
+already in place.  A step is one sine of the e and z rows into the sine
+rows and one product with a fixed (n+3)x(n+5) matrix W from entry j's
+[xhat; phi; sin e; sin z; dV; dW] to entry j + 1's [e; z; xhat; phi].  All
+but the two sines is linear, so W holds dybar's phihat dt term, psi's
+-beta z term, the constants and the noise scales.  The sector count,
+phi(T - delta) and a trajectory are read per slab.  One pass yields all
 READOUTS: Ca xhat(T) against phi(T - delta) and phi(T), and Cc xhat(T)
 against phi(T).
 
 Per-run noise comes from independent counter-based Philox streams keyed by
 (master_seed, run_index) (Salmon et al., SC 2011), drawn one contiguous
-block per run and chunk, so the chunk length changes no value.  The sines
-act elementwise, and OpenBLAS's dgemm sums every column in one order at any
-column count and thread count; its one-column (gemv) path does not, so a
-batch of one runs in two columns.  A run's errors, divergence flag and
-violation count are thus bit-identical at any batch size and with one or
-two BLAS threads (pinned by the tests).  The divergence guard is checked at
-chunk boundaries, every NOISE_BUDGET // batch steps or fewer, so a run that
-leaves the guard only between checks may be flagged at one batch size only.
+block per run and chunk, so the chunk length changes no value.  A pass runs
+on two threads: a worker draws chunk k + 1 into the other of two raw
+buffers while the caller integrates chunk k.  A batch holds 2 NOISE_BUDGET
+run-steps of noise (8 MB) and a slab of SLAB_BUDGET (1.3 MB at n = 3).  The
+sines act elementwise, and OpenBLAS's dgemm sums every column in one order
+at any column count and thread count; its one-column (gemv) path does not,
+so a batch of one runs in two columns.  The divergence guard is checked
+after every GUARD_STEPS-th step and at the horizon, where slabs end.  A
+run's errors, divergence flag and violation count are thus bit-identical at
+any batch size and chunk and with one or two BLAS threads (pinned by the
+tests).
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +60,9 @@ __all__ = ["SimConfig", "RunResult", "MonteCarloReport", "READOUTS", "homodyne_l
            "run_generator", "simulate_run", "monte_carlo", "sample_linear_loop"]
 
 READOUTS = ("delayed", "undelayed", "filter")
-NOISE_BUDGET = 1 << 18      # run-steps of noise held at once: 4 MB per copy of 2 draws
+NOISE_BUDGET = 1 << 18      # run-steps per raw buffer: 4 MB of 2 draws, two buffers
+SLAB_BUDGET = 1 << 14       # run-steps per slab: 1.3 MB at n = 3
+GUARD_STEPS = 128           # steps between divergence-guard checks
 
 
 @dataclass(frozen=True)
@@ -165,20 +174,42 @@ def _batches(runs: int, batch: int):
         yield range(lo, min(lo + batch, runs))
 
 
-def _noise(master_seed, indices, width, nsteps, chunk, dims):
-    """Yields (start, noise): noise[j] is step start + j's (dims, width) block
-    of standard normals.  Each run's block is one contiguous draw from its
-    own stream; pad columns beyond len(indices) stay zero."""
-    rngs = [run_generator(master_seed, i) for i in indices]
+def _buffers(width, rows, dims, chunk):
+    """Two raw noise buffers (2, width, steps, dims) and a slab
+    (slab + 1, rows, width) within their budgets and GUARD_STEPS."""
     steps = max(1, min(chunk, NOISE_BUDGET // width))
-    raw = np.zeros((width, steps, dims))
-    noise = np.empty((steps, dims, width))
-    for start in range(0, nsteps, steps):
-        m = min(steps, nsteps - start)
-        for rng, block in zip(rngs, raw):
+    slab = max(1, min(GUARD_STEPS, SLAB_BUDGET // width))
+    return np.zeros((2, width, steps, dims)), np.zeros((slab + 1, rows, width))
+
+
+def _slabs(master_seed, indices, nsteps, raws, slab):
+    """Yields (start, m) once slab[:m]'s last dims rows hold the normals of
+    steps start .. start + m - 1, and on resuming carries slab[m]'s other rows
+    into slab[0].  Slabs end at chunk ends and GUARD_STEPS multiples.  A
+    worker draws chunk k + 1 while the caller integrates chunk k, each run's
+    chunk one draw from its own stream; pad columns stay zero."""
+    rngs = [run_generator(master_seed, i) for i in indices]
+    steps, dims = raws.shape[2:]
+
+    def draw(k):
+        m = min(steps, nsteps - k * steps)
+        for rng, block in zip(rngs, raws[k % 2]):
             rng.standard_normal((m, dims), out=block[:m])
-        np.copyto(noise[:m], raw[:, :m].transpose(1, 2, 0))
-        yield start, noise[:m]
+
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(draw, 0)
+        for k, first in enumerate(range(0, nsteps, steps)):
+            pending.result()
+            if first + steps < nsteps:
+                pending = pool.submit(draw, k + 1)
+            raw = raws[k % 2].transpose(1, 2, 0)          # (steps, dims, width)
+            start, last = first, min(first + steps, nsteps)
+            while start < last:
+                m = min(last - start, len(slab) - 1, GUARD_STEPS - start % GUARD_STEPS)
+                np.copyto(slab[:m, -dims:], raw[start - first:start - first + m])
+                yield start, m
+                np.copyto(slab[0, :-dims], slab[m, :-dims])
+                start += m
 
 
 def _readout(row, x):
@@ -213,46 +244,44 @@ def _integrate(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution, 
     sector-violation counts and, when recorded, the first run's phi and
     phihat after every step."""
     loop = homodyne_loop(compact)
-    w = _step_matrix(cfg, loop, gains)
+    w = np.roll(_step_matrix(cfg, loop, gains), 2, axis=0)     # rows [e; z; xhat; phi]
     n = gains.Ac.shape[0]
     cc = gains.Cc[0]
     nruns = len(indices)
     width = max(nruns, 2)         # one column would take BLAS's gemv path
-    # rows: xhat (n), phi, e -> sin e, z -> sin z, dV, dW
-    cur, nxt = ((y, y[n + 1], y[n + 1:n + 3], y[n + 3:], y[:n + 3])
-                for y in (np.zeros((n + 5, width)), np.zeros((n + 5, width))))
-    cur[0][n:n + 2] = cfg.phi0    # phi, and e = phi - Cc xhat with xhat = 0
+    # slab rows: e, z, xhat (n), phi, sin e, sin z, dV, dW
+    raws, slab = _buffers(width, n + 7, 2, cfg.chunk)
+    slab[0, [0, n + 2]] = cfg.phi0    # phi, and e = phi - Cc xhat with xhat = 0
+    steps = [(y[:2], y[n + 3:n + 5], y[2:], nxt[:n + 3]) for y, nxt in zip(slab, slab[1:])]
     phi_lag = np.zeros(width)
     alive = np.ones(width, dtype=bool)
     violations = np.zeros(width, dtype=np.int64)
     snap_at = cfg.nsteps - cfg.lag_steps(loop.delta)
     traj = np.empty((2, cfg.nsteps)) if record_trajectory else None
 
-    # diverging runs may overflow inside a chunk; they are detected and
-    # excluded at the chunk boundary, so the arithmetic noise is expected
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, noise in _noise(cfg.master_seed, indices, width, cfg.nsteps, cfg.chunk, 2):
-            err = np.empty((len(noise), width))
-            for j, (e, dvw) in enumerate(zip(err, noise)):
-                y, err_row, sines, noise_rows, _ = cur
-                if start + j == snap_at:
-                    np.copyto(phi_lag, y[n])
-                np.copyto(e, err_row)
-                np.sin(sines, out=sines)
-                np.copyto(noise_rows, dvw)
-                np.dot(w, y, out=nxt[4])
-                cur, nxt = nxt, cur
-                if traj is not None:
-                    traj[:, start + j] = cur[0][n, 0], cc @ cur[0][:n, 0]
-            violations += np.count_nonzero(np.abs(err) > cfg.sector_limit, axis=0)
-            y = cur[0]
-            # a non-finite xhat gives a non-finite phihat, which fails the comparison
-            bad = ~(np.abs(_readout(cc, y[:n])) <= cfg.divergence_guard)
-            if bad.any():
-                alive &= ~bad
-                y[:, bad] = 0.0
+    # diverging runs may overflow between guard checks; they are detected and
+    # excluded there, so the arithmetic noise is expected
+    with np.errstate(over="ignore", invalid="ignore"), \
+            closing(_slabs(cfg.master_seed, indices, cfg.nsteps, raws, slab)) as slabs:
+        for start, m in slabs:
+            for ez, sines, y, nxt in steps[:m]:
+                np.sin(ez, out=sines)
+                np.dot(w, y, out=nxt)
+            violations += np.count_nonzero(np.abs(slab[:m, 0]) > cfg.sector_limit, axis=0)
+            if start <= snap_at < start + m:
+                np.copyto(phi_lag, slab[snap_at - start, n + 2])
+            if traj is not None:
+                traj[:, start:start + m] = (slab[1:m + 1, n + 2, 0],
+                                            _readout(cc, slab[1:m + 1, 2:n + 2, 0].T))
+            if (start + m) % GUARD_STEPS == 0 or start + m == cfg.nsteps:
+                y = slab[m]
+                # a non-finite xhat gives a non-finite phihat, which fails the comparison
+                bad = ~(np.abs(_readout(cc, y[2:n + 2])) <= cfg.divergence_guard)
+                if bad.any():
+                    alive &= ~bad
+                    y[:, bad] = 0.0
 
-    x, phi = cur[0][:n], cur[0][n]
+    x, phi = slab[0, 2:n + 2], slab[0, n + 2]
     if snap_at == cfg.nsteps:
         phi_lag = phi
     smoothed, filtered = _readout(gains.Ca[0], x), _readout(cc, x)
@@ -327,16 +356,17 @@ def sample_linear_loop(abold: np.ndarray, bbold: np.ndarray, sel_est: np.ndarray
     samples = []
     for indices in _batches(runs, batch):
         width = max(len(indices), 2)
-        y, y_next = np.zeros((nx + nw, width)), np.zeros((nx + nw, width))
-        for start, noise in _noise(master_seed, indices, width, nsteps, chunk, nw):
-            for j, dw in enumerate(noise):
-                if start + j == snap_at:
-                    x_lag = y[:nx].copy()
-                np.copyto(y[nx:], dw)
-                np.dot(w, y, out=y_next[:nx])
-                y, y_next = y_next, y
+        raws, slab = _buffers(width, nx + nw, nw, chunk)
+        steps = [(y, nxt[:nx]) for y, nxt in zip(slab, slab[1:])]
+        with closing(_slabs(master_seed, indices, nsteps, raws, slab)) as slabs:
+            for start, m in slabs:
+                for y, nxt in steps[:m]:
+                    np.dot(w, y, out=nxt)
+                if start <= snap_at < start + m:
+                    x_lag = slab[snap_at - start, :nx].copy()
+        x = slab[0, :nx]
         if snap_at == nsteps:
-            x_lag = y[:nx]
-        err = _readout(sel_est, y[:nx]) - _readout(sel_target, x_lag)
+            x_lag = x
+        err = _readout(sel_est, x) - _readout(sel_target, x_lag)
         samples.append(err[:len(indices)])
     return _report(np.concatenate(samples), runs)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rflsmooth.sim import (
     homodyne_loop,
     monte_carlo,
     run_generator,
+    sample_linear_loop,
     simulate_run,
 )
 
@@ -139,12 +141,60 @@ def test_chunk_does_not_change_error_bits(fast_cfg, paper_compact, paper_solutio
             np.testing.assert_array_equal(a, b)
 
 
-def test_noise_chunk_sized_with_batch():
-    width, nsteps = 2000, 1000
-    blocks = sim._noise(0, range(3), width, nsteps, 5000, 2)
-    lengths = [len(block) for _, block in blocks]
-    assert max(lengths) == sim.NOISE_BUDGET // width
-    assert sum(lengths) == nsteps
+def test_divergence_flags_independent_of_batch_and_chunk(fast_cfg, paper_compact,
+                                                         paper_solution):
+    """A guard of 1.5 rad, which phihat crosses and recrosses, flags about
+    half the runs, each at the first check that finds it beyond.  The checks
+    come after every GUARD_STEPS-th step whatever the batch and chunk, so the
+    flags, and the errors of the runs reset at a check, are the same bits
+    everywhere."""
+    cfg = dataclasses.replace(fast_cfg, horizon=1e-4, runs=300, divergence_guard=1.5,
+                              batch=300)
+    ref = per_run(cfg, paper_compact, paper_solution)
+    assert 10 < np.count_nonzero(~ref[1]) < cfg.runs - 10
+    for over in ({"batch": 1}, {"batch": 3}, {"batch": 7},
+                 {"chunk": 1}, {"chunk": 7}, {"chunk": 499}):
+        got = per_run(dataclasses.replace(cfg, **over), paper_compact, paper_solution)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_noise_and_slab_buffers_within_budget():
+    """Per batch, the two raw noise buffers hold at most NOISE_BUDGET
+    run-steps of two draws each (8 MiB together) and the slab of the n = 3
+    loop (10 rows) at most 1.5 MB."""
+    expected = {2: (320_000, 20_640), 300: (8_380_800, 1_320_000),
+                2000: (8_384_000, 1_440_000)}
+    for width, nbytes in expected.items():
+        raws, slab = sim._buffers(width, 10, 2, 5000)
+        assert (raws.nbytes, slab.nbytes) == nbytes
+        assert raws.nbytes <= 2 * sim.NOISE_BUDGET * 2 * 8 == 8 << 20
+        assert slab.nbytes <= 1_500_000
+
+
+def test_no_thread_outlives_a_pass(fast_cfg, paper_compact, paper_solution):
+    """The noise worker is joined when a pass returns and when a progress
+    callback raises between batches; the callback's exception propagates."""
+    baseline = threading.active_count()
+    monte_carlo(fast_cfg, paper_compact, paper_solution)
+    assert threading.active_count() == baseline
+    sample_linear_loop(np.array([[-1.0]]), np.array([[1.0]]), np.ones(1), np.ones(1),
+                       dt=1e-2, horizon=2.0, lag=0.5, runs=3)
+    assert threading.active_count() == baseline
+
+    class Stop(Exception):
+        pass
+
+    stop = Stop()
+
+    def progress(done, total):
+        raise stop
+
+    with pytest.raises(Stop) as info:
+        monte_carlo(dataclasses.replace(fast_cfg, batch=2), paper_compact, paper_solution,
+                    progress=progress)
+    assert info.value is stop
+    assert threading.active_count() == baseline
 
 
 def test_paired_readouts_match_separate_calls(fast_cfg, paper_compact, paper_solution):
