@@ -132,7 +132,10 @@ def cmd_mc(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "monte_carlo.json"
-    doc_out = {"config": dict(cfg.__dict__), **report.to_dict()}
+    readouts = {name: {key: getattr(rep, key) for key in
+                       ("error_covariance", "standard_error", "runs_completed")}
+                for name, rep in report.readouts.items()}
+    doc_out = {"config": dict(cfg.__dict__), **report.to_dict(), "readouts": readouts}
     out.write_text(json.dumps(doc_out, indent=2, sort_keys=True), encoding="utf-8")
     artifacts = [out]
     if args.save_errors:

@@ -29,25 +29,31 @@ against phi(T).
 
 Per-run noise comes from independent counter-based Philox streams keyed by
 (master_seed, run_index) (Salmon et al., SC 2011), drawn one contiguous
-block per run and chunk, so the chunk length changes no value.  A pass runs
-on two threads: a worker draws chunk k + 1 into the other of two raw
-buffers while the caller integrates chunk k.  A batch holds 2 NOISE_BUDGET
-run-steps of noise (8 MB) and a slab of SLAB_BUDGET (1.3 MB at n = 3).  The
-sines act elementwise, and OpenBLAS's dgemm sums every column in one order
-at any column count and thread count; its one-column (gemv) path does not,
-so a batch of one runs in two columns.  The divergence guard is checked
-after every GUARD_STEPS-th step and at the horizon, where slabs end.  A
-run's errors, divergence flag and violation count are thus bit-identical at
-any batch size and chunk and with one or two BLAS threads (pinned by the
-tests).
+block per run and chunk, so the chunk length changes no value.  A batch
+runs in two processes: a child made by os.fork draws chunk k + 1 into the
+other of two raw buffers in an anonymous shared mmap while the caller
+integrates chunk k, and two pipes carry one byte per chunk each way.  The
+child has its own interpreter lock, so the caller's many small NumPy calls
+never wait on the draws.  This is POSIX-only; from Python 3.12 on, os.fork
+warns when other OS threads, such as OpenBLAS's, are alive.  A batch holds
+2 NOISE_BUDGET run-steps of shared noise (8 MB) and a slab of SLAB_BUDGET
+(1.3 MB at n = 3).  The sines act elementwise, and OpenBLAS's dgemm sums
+every column in one order at any column count and thread count; its
+one-column (gemv) path does not, so a batch of one runs in two columns.
+The divergence guard is checked after every GUARD_STEPS-th step and at the
+horizon, where slabs end.  A run's errors, divergence flag and violation
+count are thus bit-identical at any batch size and chunk and with one or
+two BLAS threads (pinned by the tests).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import mmap
+import os
+import signal
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -60,7 +66,7 @@ __all__ = ["SimConfig", "RunResult", "MonteCarloReport", "READOUTS", "homodyne_l
            "run_generator", "simulate_run", "monte_carlo", "sample_linear_loop"]
 
 READOUTS = ("delayed", "undelayed", "filter")
-NOISE_BUDGET = 1 << 18      # run-steps per raw buffer: 4 MB of 2 draws, two buffers
+NOISE_BUDGET = 1 << 18      # run-steps per raw buffer: 4 MB of 2 draws, two shared buffers
 SLAB_BUDGET = 1 << 14       # run-steps per slab: 1.3 MB at n = 3
 GUARD_STEPS = 128           # steps between divergence-guard checks
 
@@ -175,33 +181,58 @@ def _batches(runs: int, batch: int):
 
 
 def _buffers(width, rows, dims, chunk):
-    """Two raw noise buffers (2, width, steps, dims) and a slab
-    (slab + 1, rows, width) within their budgets and GUARD_STEPS."""
+    """Two raw noise buffers (2, width, steps, dims) in an anonymous shared
+    mmap, which starts zeroed, and a slab (slab + 1, rows, width) within
+    their budgets and GUARD_STEPS."""
     steps = max(1, min(chunk, NOISE_BUDGET // width))
     slab = max(1, min(GUARD_STEPS, SLAB_BUDGET // width))
-    return np.zeros((2, width, steps, dims)), np.zeros((slab + 1, rows, width))
+    shape = (2, width, steps, dims)
+    raws = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
+    return raws.reshape(shape), np.zeros((slab + 1, rows, width))
+
+
+def _draw(master_seed, indices, nsteps, raws, free, ready):
+    """The noise process: draws chunk k of each run, one draw from the run's
+    own stream, into raws[k % 2] once a byte on `free` says the caller is done
+    with that buffer, and writes a byte to `ready`.  Pad columns stay zero."""
+    rngs = [run_generator(master_seed, i) for i in indices]
+    steps, dims = raws.shape[2:]
+    for k, first in enumerate(range(0, nsteps, steps)):
+        if k >= 2 and not os.read(free, 1):
+            return                                    # the caller has gone
+        m = min(steps, nsteps - first)
+        for rng, block in zip(rngs, raws[k % 2]):
+            rng.standard_normal((m, dims), out=block[:m])
+        os.write(ready, b"k")
 
 
 def _slabs(master_seed, indices, nsteps, raws, slab):
     """Yields (start, m) once slab[:m]'s last dims rows hold the normals of
     steps start .. start + m - 1, and on resuming carries slab[m]'s other rows
     into slab[0].  Slabs end at chunk ends and GUARD_STEPS multiples.  A
-    worker draws chunk k + 1 while the caller integrates chunk k, each run's
-    chunk one draw from its own stream; pad columns stay zero."""
-    rngs = [run_generator(master_seed, i) for i in indices]
+    forked child runs _draw, chunk k + 1 while the caller integrates chunk k,
+    and leaves by os._exit; the caller kills and reaps it on leaving."""
     steps, dims = raws.shape[2:]
-
-    def draw(k):
-        m = min(steps, nsteps - k * steps)
-        for rng, block in zip(rngs, raws[k % 2]):
-            rng.standard_normal((m, dims), out=block[:m])
-
-    with ThreadPoolExecutor(1) as pool:
-        pending = pool.submit(draw, 0)
+    free_r, free_w = os.pipe()
+    ready_r, ready_w = os.pipe()
+    pid = None
+    try:
+        try:
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(free_w)
+                    os.close(ready_r)
+                    _draw(master_seed, indices, nsteps, raws, free_r, ready_w)
+                finally:
+                    os._exit(0)
+        finally:
+            os.close(free_r)
+            os.close(ready_w)
         for k, first in enumerate(range(0, nsteps, steps)):
-            pending.result()
-            if first + steps < nsteps:
-                pending = pool.submit(draw, k + 1)
+            if not os.read(ready_r, 1):
+                raise RuntimeError(f"the noise process {pid} exited before "
+                                   f"drawing chunk {k}")
             raw = raws[k % 2].transpose(1, 2, 0)          # (steps, dims, width)
             start, last = first, min(first + steps, nsteps)
             while start < last:
@@ -210,6 +241,17 @@ def _slabs(master_seed, indices, nsteps, raws, slab):
                 yield start, m
                 np.copyto(slab[0, :-dims], slab[m, :-dims])
                 start += m
+            if first + 2 * steps < nsteps:
+                try:
+                    os.write(free_w, b"f")
+                except BrokenPipeError:
+                    pass                    # the next read finds the noise process gone
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _readout(row, x):

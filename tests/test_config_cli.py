@@ -198,6 +198,25 @@ class TestCli:
         assert float(np.mean(values ** 2)) == doc["error_covariance"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 9
+        assert set(doc["readouts"]) == {"delayed", "undelayed", "filter"}
+        assert doc["readouts"]["delayed"] == {key: doc[key] for key in
+                                              ("error_covariance", "standard_error",
+                                               "runs_completed")}
+
+    def test_mc_writes_every_readout_of_one_pass(self, tmp_path):
+        """The filter readout of a smoother run is the headline of a filter
+        run on the same seed, bit for bit."""
+        cfg = fast_config(tmp_path)
+        docs = {}
+        for estimator in ("smoother", "ngcf"):
+            out = tmp_path / estimator
+            assert cli.main(["mc", "--config", str(cfg), "--paper-realization",
+                             "--estimator", estimator, "--out-dir", str(out)]) == 0
+            docs[estimator] = json.loads((out / "monte_carlo.json").read_text())
+        ngcf = docs["ngcf"]
+        assert docs["smoother"]["readouts"]["filter"] == {
+            key: ngcf[key] for key in ("error_covariance", "standard_error", "runs_completed")}
+        assert ngcf["readouts"] == docs["smoother"]["readouts"]
 
     @pytest.mark.parametrize("key,value", [("batch", 0), ("chunk", 0), ("batch", -1)])
     def test_nonpositive_batch_or_chunk_rejected(self, tmp_path, capsys, key, value):
@@ -375,6 +394,16 @@ class TestProcess:
                         "--paper-realization", "--out-dir", str(out)], threads)
             vtau.append(json.loads((out / "synthesis.json").read_text())["Vtau"])
         assert abs(vtau[0] - vtau[1]) <= 1e-8 * vtau[0]
+
+    def test_mc_clean_under_dev_mode_and_warnings_as_errors(self, tmp_path):
+        """No ResourceWarning from the noise process's pipes or shared mmap and
+        no fork warning: stderr holds only the progress counter."""
+        out = tmp_path / "mc"
+        proc = run_python(["-X", "dev", "-W", "error", "-m", "rflsmooth.cli", "mc",
+                           "--config", str(fast_config(tmp_path)), "--runs", "3",
+                           "--save-errors", "--out-dir", str(out)])
+        assert proc.stderr.replace("\r", "\n").split("\n") == ["", "3/3 runs", ""]
+        assert len((out / "errors.csv").read_text().splitlines()) == 4
 
     def test_mc_errors_independent_of_blas_threads_and_batch(self, tmp_path):
         """Three runs in one batch and in batches of one, under one and two

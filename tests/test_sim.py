@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import signal
 import threading
 
 import numpy as np
@@ -172,15 +174,26 @@ def test_noise_and_slab_buffers_within_budget():
         assert slab.nbytes <= 1_500_000
 
 
+def leftovers():
+    """Threads, open file descriptors and unreaped children of this process."""
+    try:
+        child = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        child = None
+    return threading.active_count(), len(os.listdir("/proc/self/fd")), child
+
+
 def test_no_thread_outlives_a_pass(fast_cfg, paper_compact, paper_solution):
-    """The noise worker is joined when a pass returns and when a progress
-    callback raises between batches; the callback's exception propagates."""
-    baseline = threading.active_count()
+    """The noise process is killed and reaped and both pipes are closed when a
+    pass returns and when a progress callback raises between batches; the
+    callback's exception propagates."""
+    baseline = leftovers()
+    assert baseline[2] is None
     monte_carlo(fast_cfg, paper_compact, paper_solution)
-    assert threading.active_count() == baseline
+    assert leftovers() == baseline
     sample_linear_loop(np.array([[-1.0]]), np.array([[1.0]]), np.ones(1), np.ones(1),
                        dt=1e-2, horizon=2.0, lag=0.5, runs=3)
-    assert threading.active_count() == baseline
+    assert leftovers() == baseline
 
     class Stop(Exception):
         pass
@@ -194,7 +207,31 @@ def test_no_thread_outlives_a_pass(fast_cfg, paper_compact, paper_solution):
         monte_carlo(dataclasses.replace(fast_cfg, batch=2), paper_compact, paper_solution,
                     progress=progress)
     assert info.value is stop
-    assert threading.active_count() == baseline
+    assert leftovers() == baseline
+
+
+def test_dead_noise_process_raises(fast_cfg, paper_compact, paper_solution, monkeypatch):
+    """A noise process that dies before its first chunk closes its end of the
+    pipe; the caller reads EOF, raises and reaps it instead of waiting.  The
+    fork inherits the patched run_generator.  An alarm turns a hang into a
+    failure."""
+    def broken(master_seed, run_index):
+        raise OSError("no stream")
+
+    def hang(signum, frame):
+        raise TimeoutError("monte_carlo still waiting on a dead noise process")
+
+    monkeypatch.setattr(sim, "run_generator", broken)
+    baseline = leftovers()
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RuntimeError, match="noise process"):
+            monte_carlo(fast_cfg, paper_compact, paper_solution)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert leftovers() == baseline
 
 
 def test_paired_readouts_match_separate_calls(fast_cfg, paper_compact, paper_solution):
