@@ -9,6 +9,8 @@ with a sign-indefinite quadratic coefficient S, via an ordered real Schur
 decomposition of the associated Hamiltonian matrix, optionally refined by
 Newton-Kleinman iterations.  Lyapunov equations are solved by Bartels-Stewart:
 one real Schur form gives the Hurwitz test and a triangular Sylvester solve.
+The sensitivity of a Riccati solution is such a Lyapunov equation in its
+closed loop.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "CareSolution",
     "solve_care",
     "care_residual",
+    "care_sensitivity",
     "solve_lyapunov",
     "lyapunov_residual",
     "expm",
@@ -154,6 +157,15 @@ def solve_care(prob: RiccatiProblem, imag_tol: float = 1e-9) -> CareSolution:
     if res > 1e-8 * (1.0 + np.linalg.norm(x, "fro") ** 2):
         x, res = _newton_refine(prob, x)
     return CareSolution(x=x, residual=res)
+
+
+def care_sensitivity(prob: RiccatiProblem, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Derivatives of the stabilizing solution X of `prob`, one per entry of
+    the stack `rhs`: F = X dA + dA' X + X dS X + dQ, the change of the
+    equation at fixed X, gives dX from (A + S X)' dX + dX (A + S X) + F = 0.
+    One Schur form of the closed loop serves every entry (Kenney & Hewer)."""
+    t, z, _ = _schur_abscissa((prob.a + prob.s @ x).T)
+    return np.array([_lyap_schur(t, z, f) for f in rhs])
 
 
 def _schur_abscissa(a: np.ndarray):

@@ -26,7 +26,9 @@ reduces to the standard Kalman form.
 A scaling point is evaluated once: `_point_terms` forms its multipliers
 (from the term stacks `build_compact` precomputes), feasibility margin,
 M^-1, scaled noise and cost weights, which both Riccati solves read, and
-`compute_gains` and `cost_bound` share one coupling/gain/bound tail.
+`compute_gains` and `cost_bound` share one coupling/gain/bound tail.  The
+bound search reads the same terms and solutions again for V's exact gradient
+(`_bound_gradient`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import CouplingError, InfeasibleError, NumericalError
 from .model import CompactPlant
-from .numkernel import RiccatiProblem, solve_care, spectral_radius
+from .numkernel import RiccatiProblem, care_sensitivity, solve_care, spectral_radius
 
 __all__ = [
     "ScalingPoint",
@@ -59,7 +61,6 @@ __all__ = [
 ]
 
 MU_PATH = 10.0 ** -np.arange(0.0, 8.1, 0.5)   # barrier weights of the path, 1 to 1e-8
-FD_STEPS = (1e-5, 1e-3)   # difference steps of V: forward in log tau, back in log lambda
 NEWTON_STEPS = 10         # most Newton steps at one barrier weight
 FLOOR = 1e-10             # least lambda_i and eig(M) over the largest; V loses digits below
 
@@ -192,7 +193,8 @@ def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPai
 
 @dataclass(frozen=True)
 class _PointTerms:
-    """Scaled noise (Wxx, Wxy, E) and cost weights (R, G, Gam) of one scaling point."""
+    """Scaled noise (Wxx, Wxy, E) and cost weights (R, G, Gam) of one scaling
+    point, with the M^-1 they were scaled by (None without uncertainty channels)."""
 
     wxx: np.ndarray
     wxy: np.ndarray
@@ -200,6 +202,7 @@ class _PointTerms:
     r: np.ndarray
     gmat: np.ndarray
     gam: np.ndarray
+    minv: np.ndarray = None
 
     @cached_property
     def einv(self) -> np.ndarray:
@@ -225,14 +228,24 @@ def _point_terms(compact: CompactPlant, point: ScalingPoint, delayed_target: boo
             minv = np.linalg.inv(mult.M)
         bm, dm = compact.Bt1 @ minv, compact.Dt21 @ minv
         wxx, wxy, e = bm @ compact.Bt1.T, bm @ compact.Dt21.T, dm @ compact.Dt21.T
-    return _PointTerms(wxx, wxy, e, *cost_weights(compact, point, mult, delayed_target))
+    return _PointTerms(wxx, wxy, e, *cost_weights(compact, point, mult, delayed_target), minv)
 
 
-def _solve_filter(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
+def _filter_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
     at = compact.aug.Ap - t.wxy @ t.einv @ compact.Ct2
     s = -(compact.Ct2.T @ t.einv @ compact.Ct2 - t.r / point.tau)
     w = t.wxx - t.wxy @ t.einv @ t.wxy.T
-    sol = solve_care(RiccatiProblem(a=at.T, q=0.5 * (w + w.T), s=0.5 * (s + s.T)))
+    return RiccatiProblem(a=at.T, q=0.5 * (w + w.T), s=0.5 * (s + s.T))
+
+
+def _control_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
+    q = t.r - t.gam @ np.linalg.solve(t.gmat, t.gam.T)
+    s = -t.wxx / point.tau
+    return RiccatiProblem(a=compact.aug.Ap, q=0.5 * (q + q.T), s=0.5 * (s + s.T))
+
+
+def _solve_filter(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
+    sol = solve_care(_filter_problem(compact, point, t))
     if np.linalg.eigvalsh(sol.x).min() <= 0:
         raise InfeasibleError(
             "filter Riccati solution is not positive definite at this scaling point"
@@ -243,9 +256,7 @@ def _solve_filter(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
 def _solve_control(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
     if np.linalg.eigvalsh(0.5 * (t.gmat + t.gmat.T)).min() <= 0:
         raise InfeasibleError("cost weight G is singular at this scaling point")
-    q = t.r - t.gam @ np.linalg.solve(t.gmat, t.gam.T)
-    s = -t.wxx / point.tau
-    sol = solve_care(RiccatiProblem(a=compact.aug.Ap, q=0.5 * (q + q.T), s=0.5 * (s + s.T)))
+    sol = solve_care(_control_problem(compact, point, t))
     if np.linalg.eigvalsh(sol.x).min() < -1e-10 * (1.0 + np.linalg.norm(sol.x)):
         raise InfeasibleError(
             "estimation-cost Riccati solution is not positive semidefinite"
@@ -298,6 +309,11 @@ def compute_gains(compact: CompactPlant, point: ScalingPoint,
     Ac, Bc~, Cc~ and the cost bound.  Enforces admissibility, the residual
     thresholds and the coupling condition rho(Y X) < tau, in that order.
     """
+    return _gains(compact, point, delayed_target)[0]
+
+
+def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool):
+    """`compute_gains`'s solution with the point terms it was formed from."""
     terms = _point_terms(compact, point, delayed_target)
     y, res_y = _solve_filter(compact, point, terms)
     x, res_x = _solve_control(compact, point, terms)
@@ -317,7 +333,7 @@ def compute_gains(compact: CompactPlant, point: ScalingPoint,
         point=point, Y=y, X=x, Ac=ac, Bc_tilde=bc, Cc_tilde=cc,
         Ca=compact.aug.Ca.copy(), Vtau=v, rho_yx=rho,
         residual_y=res_y, residual_x=res_x, m=compact.m, l=compact.l,
-    )
+    ), terms
 
 
 def cost_bound(compact: CompactPlant, point: ScalingPoint,
@@ -329,12 +345,62 @@ def cost_bound(compact: CompactPlant, point: ScalingPoint,
     return _bound_tail(compact, terms, y, x, point.tau)[2]
 
 
+def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerms):
+    """Exact gradient of V_tau in (log tau, log lambda) at an evaluated point.
+
+    Each parameter's derivative of M^-1, N, the scaled noise and the cost
+    weights changes both Riccati equations; dY and dX follow from one
+    Lyapunov solve each in that equation's closed loop (`care_sensitivity`)
+    and are chained through Bc~, (I - YX/tau)^-1 and V_tau.  Derivatives are
+    stacked on a leading axis: log tau first, then each log lambda_i.
+    """
+    point, y, x = sol.point, sol.Y, sol.X
+    tau, w, kt = point.tau, point.lam[:, None, None], compact.ktilde
+    ct1, dt12, ct2, bt1, dt21 = compact.Ct1, compact.Dt12, compact.Ct2, compact.Bt1, compact.Dt21
+    dlt = np.r_[1.0, np.zeros(kt)][:, None, None]            # d log tau
+    mt = partial(np.swapaxes, axis1=1, axis2=2)              # transpose each entry
+
+    # cost weights through d(tau N); scaled noise through d(M^-1) = -M^-1 dM M^-1
+    dtn = tau * np.concatenate([(w * compact.N_stack).sum(axis=0)[None], w * compact.N_stack])
+    dr, dg, dgam = ct1.T @ dtn @ ct1, dt12.T @ dtn @ dt12, ct1.T @ dtn @ dt12
+    dminv = np.zeros((kt + 1,) + compact.M_stack.shape[1:])
+    if kt:
+        dminv[1:] = -(w * t.minv @ compact.M_stack @ t.minv)
+    dwxx, dwxy, de = bt1 @ dminv @ bt1.T, bt1 @ dminv @ dt21.T, dt21 @ dminv @ dt21.T
+    deinv = -t.einv @ de @ t.einv
+
+    # filter: a = At', S = R/tau - Ct2' E^-1 Ct2, Q = Wxx - Wxy E^-1 Wxy'
+    dat = -(dwxy @ t.einv + t.wxy @ deinv) @ ct2
+    ds = (dr - dlt * t.r) / tau - ct2.T @ deinv @ ct2
+    dw = dwxx - t.wxy @ deinv @ t.wxy.T - (f := dwxy @ t.einv @ t.wxy.T) - mt(f)
+    fy = y @ mt(dat)
+    dy = care_sensitivity(_filter_problem(compact, point, t), y, fy + mt(fy) + y @ ds @ y + dw)
+
+    # estimation cost: a = Ap, S = -Wxx/tau, Q = R - Gam G^-1 Gam'
+    g_gam = np.linalg.solve(t.gmat, t.gam.T)
+    dq = dr - (f := dgam @ g_gam) - mt(f) + g_gam.T @ dg @ g_gam
+    dx = care_sensitivity(_control_problem(compact, point, t), x,
+                          x @ ((dlt * t.wxx - dwxx) / tau) @ x + dq)
+
+    # V = tr(Y R + P X corr) / 2 with P = Bc~ E Bc~', Bc~ = (Y Ct2' + Wxy) E^-1
+    bc, corr, _ = _bound_tail(compact, t, y, x, tau)
+    dcorr = corr @ ((dy @ x + y @ dx - dlt * (y @ x)) / tau) @ corr
+    dbc = (dy @ ct2.T + dwxy) @ t.einv + bc @ t.e @ deinv
+    p, dp = bc @ t.e @ bc.T, (f := dbc @ t.e @ bc.T) + mt(f) + bc @ de @ bc.T
+    dv = 0.5 * np.trace(dy @ t.r + y @ dr + dp @ x @ corr + p @ dx @ corr + p @ x @ dcorr,
+                        axis1=1, axis2=2)
+    if not np.isfinite(dv).all():
+        raise NumericalError("cost bound gradient is not finite")
+    return dv
+
+
 @dataclass
 class OptimizationResult:
     point: ScalingPoint
     solution: SynthesisSolution
     vtau: float
     trace: list = field(default_factory=list)
+    evaluations: int = 0      # compute_gains evaluations the search made
 
 
 def _barrier(m_terms, s_terms, bounds, x):
@@ -411,48 +477,53 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
     """Minimize the guaranteed cost bound V over (tau, lambda) along one
     barrier path: V + mu B(x) in x = (log tau, lambda) for each mu in MU_PATH.
 
-    Newton steps take B's exact gradient and Hessian, a difference gradient of
-    V and a damped BFGS model of V's Hessian (both in log tau and log lambda);
-    backtracking keeps each iterate inside B's domain, and an evaluation that
-    raises has no value.  The first start is the LMI set's analytic centre,
-    then n_starts - 1 admissible draws from [0, lam_high)^k by `seed`; explicit
-    `starts` replace them all.  Each takes tau from a golden-section search.
-    Returns the lowest V evaluated, with one trace entry (tau, lambda, V) per
-    start and accepted step.  Raises InfeasibleError when no V was evaluated.
+    Newton steps take B's exact gradient and Hessian, V's exact gradient
+    (`_bound_gradient`) and a damped BFGS model of V's Hessian (both in log tau
+    and log lambda); backtracking keeps each iterate inside B's domain, an
+    evaluation that raises has no value, and a gradient that raises ends the
+    path.  The first start is the LMI set's analytic centre, then n_starts - 1
+    admissible draws from [0, lam_high)^k by `seed`; explicit `starts` replace
+    them all.  Each takes tau from a golden-section search.  Returns the
+    lowest V evaluated, with one trace entry (tau, lambda, V) per start and
+    accepted step, and the number of evaluations.  Raises InfeasibleError
+    when no V was evaluated.
     """
     kt, bounds = compact.ktilde, (math.log(tau_bounds[0]), math.log(tau_bounds[1]))
-    m_terms, trace, best = compact.M_stack, [], None
+    m_terms, trace, best, evaluations = compact.M_stack, [], None, 0
     barrier = partial(_barrier, m_terms, compact.J.T @ m_terms @ compact.J, bounds)
 
-    def value(x):
-        nonlocal best
+    def evaluate(x):
+        """(V, (solution, terms)) at x, or (inf, None) where the evaluation raises."""
+        nonlocal best, evaluations
+        evaluations += 1
         try:
-            sol = compute_gains(compact, ScalingPoint(lam=x[1:], tau=math.exp(x[0])),
-                                delayed_target=delayed_target)
+            sol, terms = _gains(compact, ScalingPoint(lam=x[1:], tau=math.exp(x[0])),
+                                delayed_target)
         except (InfeasibleError, NumericalError, np.linalg.LinAlgError):
-            return math.inf
+            return math.inf, None
         best = sol if best is None or sol.Vtau < best.Vtau else best
-        return sol.Vtau
+        return sol.Vtau, (sol, terms)
 
-    def gradient(x, v):
-        """V's difference gradient in (log tau, log lambda), forward in tau and
-        backward in lambda (which stays admissible); None if a probe raises."""
-        g = np.empty(x.size)
-        for i, du in enumerate(np.r_[FD_STEPS[0], np.full(kt, -FD_STEPS[1])]):
-            probe = x.copy()
-            probe[i] = x[i] + du if i == 0 else x[i] * math.exp(du)
-            if (vp := value(probe)) == math.inf:
-                return None
-            g[i] = (vp - v) / du
-        return g
+    def gradient(evaluated):
+        """V's gradient in (log tau, log lambda) at an evaluated point; None if it raises."""
+        try:
+            return _bound_gradient(compact, *evaluated)
+        except (NumericalError, np.linalg.LinAlgError):
+            return None
 
     def follow(x):
         """The barrier path from x through MU_PATH; each accepted step is traced."""
         def phi(y):
-            by = barrier(y)
-            return None if by is None else ((vy := value(y)) + mu * by[0], vy)
+            """(V + mu B, V, evaluated point) at y; None outside B's domain."""
+            if (by := barrier(y)) is None:
+                return None
+            vy, at_y = evaluate(y)
+            return vy + mu * by[0], vy, at_y
 
-        if barrier(x) is None or (v := value(x)) == math.inf or (gu := gradient(x, v)) is None:
+        if barrier(x) is None:
+            return
+        v, at_x = evaluate(x)
+        if at_x is None or (gu := gradient(at_x)) is None:
             return
         trace.append((math.exp(x[0]), x[1:].tolist(), v))
         hv = np.zeros((x.size, x.size))
@@ -468,8 +539,8 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
                 d = -np.linalg.solve(hv / np.outer(scale, scale) + mu * hb, g)
                 if (step := _backtrack(phi, x, v + mu * b, d, g @ d)) is None:
                     break
-                y, (_, v) = step
-                if (gy := gradient(y, v)) is None:
+                y, (_, v, at_y) = step
+                if (gy := gradient(at_y)) is None:
                     return
                 hv = _bfgs(hv, np.r_[y[0] - x[0], np.log(y[1:] / x[1:])], gy - gu)
                 x, gu = y, gy
@@ -492,10 +563,11 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
             if barrier(np.r_[x[0], cand := rng.uniform(0.0, lam_high, size=kt)]) is not None:
                 starts.append(cand)
     for lam0 in np.asarray(starts, dtype=float).reshape(len(starts), kt):
-        follow(np.r_[_golden(lambda s: value(np.r_[s, lam0]), *bounds), lam0])
+        follow(np.r_[_golden(lambda s: evaluate(np.r_[s, lam0])[0], *bounds), lam0])
     if best is None:
         raise InfeasibleError("no scaling point in the search gives a bound")
-    return OptimizationResult(point=best.point, solution=best, vtau=best.Vtau, trace=trace)
+    return OptimizationResult(point=best.point, solution=best, vtau=best.Vtau, trace=trace,
+                              evaluations=evaluations)
 
 
 def solution_to_json(sol: SynthesisSolution, extra: dict = None) -> str:

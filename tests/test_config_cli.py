@@ -152,6 +152,7 @@ class TestCli:
         doc = json.loads((out / "synthesis.json").read_text())
         assert doc["Vtau"] <= 0.16
         assert len(doc["search_trace"]) > 0
+        assert "evaluations" not in doc
 
     def test_synth_zero_sector_degenerates(self, tmp_path):
         """gamma = 0 removes the nonlinearity output; the design collapses to

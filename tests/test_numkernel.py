@@ -7,6 +7,7 @@ from rflsmooth.numkernel import (
     RiccatiProblem,
     _newton_refine,
     care_residual,
+    care_sensitivity,
     expm,
     is_hurwitz,
     solve_care,
@@ -129,6 +130,23 @@ class TestCare:
     def test_residual_helper(self):
         prob = RiccatiProblem(a=[[-1.0]], q=[[2.0]], s=[[0.0]])
         assert care_residual(prob, np.array([[1.0]])) == 0.0
+
+    def test_sensitivity_matches_differences(self):
+        """dX along random directions (dA, dS, dQ) against central differences
+        of the solution; one stack entry per direction."""
+        rng = np.random.default_rng(5)
+        h = 1e-6
+        for _ in range(5):
+            prob = random_lqr_problem(rng, 4)
+            x = solve_care(prob).x
+            dirs = [(rng.standard_normal((4, 4)),) + tuple(m + m.T for m in
+                    rng.standard_normal((2, 4, 4))) for _ in range(3)]
+            rhs = [x @ da + da.T @ x + x @ ds @ x + dq for da, ds, dq in dirs]
+            for dx, (da, ds, dq) in zip(care_sensitivity(prob, x, np.array(rhs)), dirs):
+                up, down = (solve_care(RiccatiProblem(a=prob.a + e * da, q=prob.q + e * dq,
+                                                      s=prob.s + e * ds)).x for e in (h, -h))
+                diff = (up - down) / (2 * h)
+                assert np.abs(dx - diff).max() <= 1e-6 * np.abs(diff).max()
 
 
 class TestLyapunov:
