@@ -41,10 +41,7 @@ from .synthesis import (
     SynthesisSolution,
     assemble_multipliers,
     compute_gains,
-    cost_bound,
-    control_riccati,
     feasible,
-    filter_riccati,
     minimize_bound,
 )
 from .covariance import (
@@ -66,8 +63,7 @@ __all__ = [
     "RiccatiProblem", "CareSolution", "solve_care", "solve_lyapunov",
     "expm", "spectral_radius", "is_hurwitz",
     "ScalingPoint", "MultiplierPair", "SynthesisSolution",
-    "assemble_multipliers", "feasible", "filter_riccati", "control_riccati",
-    "compute_gains", "cost_bound", "minimize_bound",
+    "assemble_multipliers", "feasible", "compute_gains", "minimize_bound",
     "ClosedLoopModel", "CovarianceReport", "build_closed_loop",
     "smoothed_error_covariance", "delta_sweep",
     "SimConfig", "MonteCarloReport", "simulate_run", "monte_carlo",

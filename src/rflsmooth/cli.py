@@ -199,10 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="configuration file (default: bundled example)")
+    def outputs(p):
         p.add_argument("--seed", type=_seed, default=None, help="master seed override")
         p.add_argument("--out-dir", default="out", help="output directory")
+
+    def common(p):
+        p.add_argument("--config", help="configuration file (default: bundled example)")
+        outputs(p)
         p.add_argument("--paper-realization", action="store_true",
                        help="use the published power-of-two delay realization")
         p.add_argument("--target-output", choices=("printed", "delayed"),
@@ -228,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-paper",
                        help="compare computed values against the published references")
-    common(p)
+    outputs(p)
     p.add_argument("--realization", choices=("paper", "balanced"), default="paper",
                    help="delay realization used for the reproduction")
     p.set_defaults(func=cmd_reproduce)

@@ -91,7 +91,11 @@ def _hamiltonian_schur(prob: RiccatiProblem, imag_tol: float):
     n = prob.n
     ham = np.empty((2 * n, 2 * n))
     ham[:n, :n], ham[:n, n:], ham[n:, :n], ham[n:, n:] = prob.a, prob.s, -prob.q, -prob.a.T
-    t, z, sdim = sla.schur(ham, sort="lhp")
+    try:
+        t, z, sdim = sla.schur(ham, sort="lhp")
+    except np.linalg.LinAlgError as exc:    # reordering moved an eigenvalue across the axis
+        raise InfeasibleError(f"ordered Schur form failed: {exc}",
+                              eigenvalues=np.linalg.eigvals(ham)) from None
     eigs = np.diag(t).astype(complex)
     for i in np.flatnonzero(np.diag(t, -1)):        # 2x2 block [[a, b], [c, a]]: a +- i sqrt(-bc)
         eigs[i:i + 2] += np.array([1j, -1j]) * math.sqrt(-t[i, i + 1] * t[i + 1, i])

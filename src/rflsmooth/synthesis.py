@@ -23,12 +23,12 @@ whenever Ap is Hurwitz.  With no uncertainty channels (ktilde = 0) the
 scaled noise products fall back to the physical ones and the filter Riccati
 reduces to the standard Kalman form.
 
-A scaling point is evaluated once: `_point_terms` forms its multipliers
-(from the term stacks `build_compact` precomputes), feasibility margin,
-M^-1, scaled noise and cost weights, which both Riccati solves read, and
-`compute_gains` and `cost_bound` share one coupling/gain/bound tail.  The
-bound search reads the same terms and solutions again for V's exact gradient
-(`_bound_gradient`).
+A scaling point is evaluated along one path, `_gains`: `_point_terms` tests
+admissibility and forms its multipliers (from the term stacks `build_compact`
+precomputes), M^-1, scaled noise and cost weights, which both Riccati solves
+read.  The bound search reads the same terms and solutions again for V's exact
+gradient (`_bound_gradient`).  A point that gives no bound raises a
+`ToolkitError`, never a bare LAPACK error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -52,10 +52,7 @@ __all__ = [
     "assemble_multipliers",
     "feasible",
     "cost_weights",
-    "filter_riccati",
-    "control_riccati",
     "compute_gains",
-    "cost_bound",
     "minimize_bound",
     "solution_to_json",
 ]
@@ -80,12 +77,10 @@ class ScalingPoint:
 
 @dataclass(frozen=True)
 class MultiplierPair:
-    """Input/output multipliers M(lambda), N(lambda) and their rank-one terms."""
+    """Input/output multipliers M(lambda), N(lambda)."""
 
     M: np.ndarray
     N: np.ndarray
-    M_terms: tuple
-    N_terms: tuple
 
 
 @dataclass(frozen=True)
@@ -137,39 +132,34 @@ def assemble_multipliers(compact: CompactPlant, lam: np.ndarray) -> MultiplierPa
     # an elementwise product summed in term order: a BLAS contraction
     # (tensordot) may fuse multiply-adds and move the last bit when beta != 1
     w = lam[:, None, None]
-    return MultiplierPair(
-        M=(w * compact.M_stack).sum(axis=0), N=(w * compact.N_stack).sum(axis=0),
-        M_terms=tuple(compact.M_stack), N_terms=tuple(compact.N_stack),
-    )
+    return MultiplierPair(M=(w * compact.M_stack).sum(axis=0), N=(w * compact.N_stack).sum(axis=0))
 
 
 def _admissibility(compact: CompactPlant, lam: np.ndarray):
-    """(margin, multipliers, M^-1) of lambda; the margin is -inf for a bad
-    lambda or M not PD, and what is not formed on the way is None."""
-    if compact.ktilde == 0:
-        return math.inf, None, None
+    """(margin, multipliers) of lambda: the margin is the least eigenvalue of
+    I - J'M(lambda)J, -inf for a bad lambda or M not PD and inf without
+    uncertainty channels; the multipliers are None for a bad lambda."""
     if lam.size != compact.ktilde or np.any(lam < 0):
-        return -math.inf, None, None
+        return -math.inf, None
     mult = assemble_multipliers(compact, lam)
+    if compact.ktilde == 0:
+        return math.inf, mult
     if np.linalg.eigvalsh(mult.M).min() <= 0:
-        return -math.inf, mult, None
-    try:
-        minv = np.linalg.inv(mult.M)
-    except np.linalg.LinAlgError:       # singular to working precision
-        return -math.inf, mult, None
-    gap = minv - compact.J @ compact.J.T
-    return float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()), mult, minv
+        return -math.inf, mult
+    gap = np.eye(compact.J.shape[1]) - compact.J.T @ mult.M @ compact.J
+    return float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()), mult
 
 
 def feasible(compact: CompactPlant, point: ScalingPoint):
     """Admissibility of a scaling point: lambda >= 0, M(lambda) > 0 and
-    M(lambda)^-1 >= J J'.  Returns (bool, margin) where the margin is the
-    smallest eigenvalue of M^-1 - J J' (or -inf when M is not PD)."""
+    I - J'M(lambda)J >= 0 (equivalently M^-1 >= JJ', by a Schur complement).
+    Returns (bool, margin) where the margin is the least eigenvalue of
+    I - J'MJ (-inf when M is not PD)."""
     margin = _admissibility(compact, point.lam)[0]
     return margin >= 0, margin
 
 
-def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPair = None,
+def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPair,
                  delayed_target: bool = False):
     """Quadratic cost data (R, G, Gam) for the estimation cost plus the
     tau-weighted stacked-output penalty.
@@ -178,8 +168,6 @@ def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPai
     output Cp0 to the delayed readout Ca (experimental variant; the published
     gains correspond to the default Cp0 target).
     """
-    if mult is None:
-        mult = assemble_multipliers(compact, point.lam)
     aug = compact.aug
     n, m, g = compact.n, compact.m, compact.g
     tau = point.tau
@@ -193,42 +181,43 @@ def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPai
 
 @dataclass(frozen=True)
 class _PointTerms:
-    """Scaled noise (Wxx, Wxy, E) and cost weights (R, G, Gam) of one scaling
-    point, with the M^-1 they were scaled by (None without uncertainty channels)."""
+    """Scaled noise (Wxx, Wxy, E, E^-1) and cost weights (R, G, Gam) of one
+    scaling point, with the M^-1 they were scaled by (None without uncertainty
+    channels)."""
 
     wxx: np.ndarray
     wxy: np.ndarray
     e: np.ndarray
+    einv: np.ndarray
     r: np.ndarray
     gmat: np.ndarray
     gam: np.ndarray
-    minv: np.ndarray = None
-
-    @cached_property
-    def einv(self) -> np.ndarray:
-        return np.linalg.inv(self.e)
+    minv: np.ndarray
 
 
-def _point_terms(compact: CompactPlant, point: ScalingPoint, delayed_target: bool,
-                 enforce: bool = True) -> _PointTerms:
-    """A scaling point's terms; with `enforce`, an inadmissible point raises
-    InfeasibleError first.  Without uncertainty channels the noise is physical."""
-    margin, mult, minv = _admissibility(compact, point.lam)
-    if enforce and not margin >= 0:
+def _point_terms(compact: CompactPlant, point: ScalingPoint, delayed_target: bool) -> _PointTerms:
+    """A scaling point's terms; an inadmissible point, or one whose M is
+    singular to working precision, raises InfeasibleError.  Without
+    uncertainty channels the noise is physical."""
+    margin, mult = _admissibility(compact, point.lam)
+    if not margin >= 0:
         raise InfeasibleError(
             f"scaling point is infeasible (margin {margin:.3e})", margin=margin
         )
-    if mult is None:
-        mult = assemble_multipliers(compact, point.lam)
+    minv = None
     if compact.ktilde == 0:
-        bw, dw = compact.Bp1w, compact.Db21
-        wxx, wxy, e = bw @ bw.T, bw @ dw.T, dw @ dw.T
+        b, d = bm, dm = compact.Bp1w, compact.Db21
     else:
-        if minv is None:
+        try:
             minv = np.linalg.inv(mult.M)
-        bm, dm = compact.Bt1 @ minv, compact.Dt21 @ minv
-        wxx, wxy, e = bm @ compact.Bt1.T, bm @ compact.Dt21.T, dm @ compact.Dt21.T
-    return _PointTerms(wxx, wxy, e, *cost_weights(compact, point, mult, delayed_target), minv)
+        except np.linalg.LinAlgError:       # though its least eigenvalue is positive
+            raise InfeasibleError("M(lambda) is singular to working precision",
+                                  margin=-math.inf) from None
+        b, d = compact.Bt1, compact.Dt21
+        bm, dm = b @ minv, d @ minv
+    wxx, wxy, e = bm @ b.T, bm @ d.T, dm @ d.T
+    return _PointTerms(wxx, wxy, e, np.linalg.inv(e),
+                       *cost_weights(compact, point, mult, delayed_target), minv)
 
 
 def _filter_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
@@ -262,22 +251,6 @@ def _solve_control(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
             "estimation-cost Riccati solution is not positive semidefinite"
         )
     return sol.x, sol.residual
-
-
-def filter_riccati(compact: CompactPlant, point: ScalingPoint,
-                   delayed_target: bool = False):
-    """Solve the filter Riccati equation; returns (Y, residual).
-
-    Raises InfeasibleError when the point is inadmissible or the equation
-    has no stabilizing positive-definite solution.
-    """
-    return _solve_filter(compact, point, _point_terms(compact, point, delayed_target))
-
-
-def control_riccati(compact: CompactPlant, point: ScalingPoint,
-                    delayed_target: bool = False):
-    """Solve the estimation-cost Riccati equation; returns (X, residual)."""
-    return _solve_control(compact, point, _point_terms(compact, point, delayed_target))
 
 
 def _residual_threshold(x):
@@ -334,15 +307,6 @@ def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool):
         Ca=compact.aug.Ca.copy(), Vtau=v, rho_yx=rho,
         residual_y=res_y, residual_x=res_x, m=compact.m, l=compact.l,
     ), terms
-
-
-def cost_bound(compact: CompactPlant, point: ScalingPoint,
-               y: np.ndarray, x: np.ndarray, delayed_target: bool = False) -> float:
-    """Guaranteed cost bound V_tau for given Riccati solutions.  The point's
-    admissibility is not checked here, only the coupling condition."""
-    _coupling(y, x, point.tau)
-    terms = _point_terms(compact, point, delayed_target, enforce=False)
-    return _bound_tail(compact, terms, y, x, point.tau)[2]
 
 
 def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerms):
@@ -480,8 +444,8 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
     Newton steps take B's exact gradient and Hessian, V's exact gradient
     (`_bound_gradient`) and a damped BFGS model of V's Hessian (both in log tau
     and log lambda); backtracking keeps each iterate inside B's domain, an
-    evaluation that raises has no value, and a gradient that raises ends the
-    path.  The first start is the LMI set's analytic centre, then n_starts - 1
+    evaluation that raises has no value, and a gradient that raises or a
+    singular Newton system ends the path.  The first start is the LMI set's analytic centre, then n_starts - 1
     admissible draws from [0, lam_high)^k by `seed`; explicit `starts` replace
     them all.  Each takes tau from a golden-section search.  Returns the
     lowest V evaluated, with one trace entry (tau, lambda, V) per start and
@@ -499,7 +463,7 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         try:
             sol, terms = _gains(compact, ScalingPoint(lam=x[1:], tau=math.exp(x[0])),
                                 delayed_target)
-        except (InfeasibleError, NumericalError, np.linalg.LinAlgError):
+        except (InfeasibleError, NumericalError):
             return math.inf, None
         best = sol if best is None or sol.Vtau < best.Vtau else best
         return sol.Vtau, (sol, terms)
@@ -508,7 +472,7 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         """V's gradient in (log tau, log lambda) at an evaluated point; None if it raises."""
         try:
             return _bound_gradient(compact, *evaluated)
-        except (NumericalError, np.linalg.LinAlgError):
+        except (InfeasibleError, NumericalError):
             return None
 
     def follow(x):
@@ -534,9 +498,12 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
                 g = gu / scale + mu * gb
                 hc = mu * hb                             # stop near the path in B's metric,
                 hc[0, 0] += hv[0, 0]                     # not the BFGS one, which can overshoot
-                if g @ np.linalg.solve(hc, g) <= 0.1 * mu:
-                    break
-                d = -np.linalg.solve(hv / np.outer(scale, scale) + mu * hb, g)
+                try:
+                    if g @ np.linalg.solve(hc, g) <= 0.1 * mu:
+                        break
+                    d = -np.linalg.solve(hv / np.outer(scale, scale) + mu * hb, g)
+                except np.linalg.LinAlgError:            # B's Hessian lost rank near the face
+                    return
                 if (step := _backtrack(phi, x, v + mu * b, d, g @ d)) is None:
                     break
                 y, (_, v, at_y) = step

@@ -335,6 +335,19 @@ class TestCli:
         names = {c["name"] for c in report["checks"]}
         assert {"Ac", "Bc_tilde", "Cc_tilde", "Vtau", "coupling"} <= names
 
+    @pytest.mark.parametrize("option", [["--config", "/nonexistent.cfg"],
+                                        ["--target-output", "delayed"],
+                                        ["--paper-realization"]],
+                             ids=["config", "target_output", "paper_realization"])
+    def test_reproduce_paper_rejects_options_it_ignores(self, tmp_path, capsys, option):
+        """reproduce-paper builds its own example: options that choose a
+        config or a synthesis variant would be ignored, so argparse rejects them."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reproduce-paper", "--out-dir", str(tmp_path / "rep"), *option])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert option[0] in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_exit_code_mapping(self, monkeypatch):
         for exc, expected in [
             (StationarityError("boom"), cli.EXIT_UNSTABLE),
