@@ -184,11 +184,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+def _at_least(low: int, what: str):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def outputs(p):
-        p.add_argument("--seed", type=_seed, default=None, help="master seed override")
+        p.add_argument("--seed", type=_at_least(0, "seed"), help="master seed override")
         p.add_argument("--out-dir", default="out", help="output directory")
 
     def common(p):
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="uncertainty sweep CSV")
     common(p)
-    p.add_argument("--grid", type=int, default=21, help="number of sweep points")
+    p.add_argument("--grid", type=_at_least(1, "grid"), default=21, help="number of sweep points")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("mc", help="Monte Carlo error covariance")

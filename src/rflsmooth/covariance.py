@@ -10,18 +10,11 @@ import numpy as np
 
 from .errors import StationarityError
 from .model import CompactPlant
-from .numkernel import expm, is_hurwitz, solve_lyapunov
+from .numkernel import _lyapunov_stack, expm, is_hurwitz
 from .synthesis import SynthesisSolution
 
-__all__ = [
-    "ClosedLoopModel",
-    "CovarianceReport",
-    "SweepRow",
-    "build_closed_loop",
-    "smoothed_error_covariance",
-    "delta_sweep",
-    "write_sweep_csv",
-]
+__all__ = ["ClosedLoopModel", "CovarianceReport", "SweepRow", "build_closed_loop",
+           "smoothed_error_covariance", "delta_sweep", "write_sweep_csv"]
 
 
 @dataclass(frozen=True)
@@ -34,10 +27,6 @@ class ClosedLoopModel:
     Abold: np.ndarray
     Bbold: np.ndarray
     Delta: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.compact.n
 
     def is_hurwitz(self) -> bool:
         return is_hurwitz(self.Abold)
@@ -63,36 +52,57 @@ class SweepRow:
     hurwitz: bool
 
 
+def _loops(compact: CompactPlant, sol: SynthesisSolution, delta1: float, delta2: np.ndarray):
+    """Abold closed at each entry of the 1-D `delta2`, as a (k, 2n, 2n) stack,
+    with Bbold (no Delta enters it) and the Delta stack.  Delta is a stacked
+    diagonal, so each entry takes the products of a single loop."""
+    for name, vals in (("delta1", np.array([delta1], dtype=float)), ("delta2", delta2)):
+        over = vals[np.abs(vals) > 1.0 + 1e-12]
+        if over.size:
+            raise ValueError(f"{name} must satisfy |{name}| <= 1, got {over[0]}")
+    k, r, g, n = len(delta2), compact.r, compact.g, compact.n
+    delta = np.zeros((k, r + 2 * g, r + 2 * g))
+    diag = np.arange(r + 2 * g)
+    delta[:, diag, diag] = np.hstack([np.full((k, r), float(delta1)),
+                                      np.repeat(delta2[:, None], 2 * g, axis=1)])
+    bt1, ct1 = compact.Bt1, compact.Ct1
+    dt12, dt21, ct2 = compact.Dt12, compact.Dt21, compact.Ct2
+    ac, bc, cc = sol.Ac, sol.Bc_tilde, sol.Cc_tilde
+    abold = np.empty((k, 2 * n, 2 * n))
+    abold[:, :n, :n] = compact.aug.Ap + bt1 @ delta @ ct1
+    abold[:, :n, n:] = bt1 @ delta @ dt12 @ cc
+    abold[:, n:, :n] = bc @ ct2 + bc @ dt21 @ delta @ ct1
+    abold[:, n:, n:] = ac + bc @ dt21 @ delta @ dt12 @ cc
+    bbold = np.vstack([compact.Bp1w, bc @ compact.Db21])
+    return abold, bbold, delta
+
+
 def build_closed_loop(compact: CompactPlant, sol: SynthesisSolution,
-                      delta1: float = 0.0, delta2: float = 0.0,
-                      tol: float = 1e-12) -> ClosedLoopModel:
+                      delta1: float = 0.0, delta2: float = 0.0) -> ClosedLoopModel:
     """Close the loop with Delta = diag(delta1 I_r, delta2 I_g, delta2 I_g).
 
     delta1 scales the parametric-uncertainty channels, delta2 the
     measurement-nonlinearity channel and its estimator copy.  Both must lie
     in the unit interval in magnitude.
     """
-    for name, val in (("delta1", delta1), ("delta2", delta2)):
-        if abs(val) > 1.0 + tol:
-            raise ValueError(f"{name} must satisfy |{name}| <= 1, got {val}")
-    g = compact.g
-    delta = np.diag(np.concatenate([
-        np.full(compact.r, float(delta1)),
-        np.full(g, float(delta2)),
-        np.full(g, float(delta2)),
-    ]))
-    bt1, ct1 = compact.Bt1, compact.Ct1
-    dt12, dt21, ct2 = compact.Dt12, compact.Dt21, compact.Ct2
-    ac, bc, cc = sol.Ac, sol.Bc_tilde, sol.Cc_tilde
-    n = compact.n
-    abold = np.empty((2 * n, 2 * n))
-    abold[:n, :n] = compact.aug.Ap + bt1 @ delta @ ct1
-    abold[:n, n:] = bt1 @ delta @ dt12 @ cc
-    abold[n:, :n] = bc @ ct2 + bc @ dt21 @ delta @ ct1
-    abold[n:, n:] = ac + bc @ dt21 @ delta @ dt12 @ cc
-    bbold = np.vstack([compact.Bp1w, bc @ compact.Db21])
+    abold, bbold, delta = _loops(compact, sol, delta1, np.array([delta2], dtype=float))
     return ClosedLoopModel(compact=compact, solution=sol,
-                           Abold=abold, Bbold=bbold, Delta=delta)
+                           Abold=abold[0], Bbold=bbold, Delta=delta[0])
+
+
+def _covariances(compact: CompactPlant, sol: SynthesisSolution, abold: np.ndarray,
+                 bbold: np.ndarray, lag: float):
+    """Max Re eig of each loop in the stack `abold`, and P, Phi, Psa and Pf of
+    its Hurwitz entries, as stacks from one Schur form each and one expm call."""
+    n, m = compact.n, compact.m
+    cw = np.hstack([compact.aug.Cp0, np.zeros((m, n))])
+    ca = np.hstack([np.zeros((m, n)), compact.aug.Ca])
+    cf = cw - np.hstack([np.zeros((m, n)), sol.Cc])
+    abscissa, p = _lyapunov_stack(abold, bbold @ bbold.T)
+    phi = expm(abold[abscissa < 0], lag)
+    cross = ca @ phi @ p @ cw.T
+    psa = cw @ p @ cw.T - cross - cross.swapaxes(1, 2) + ca @ p @ ca.T
+    return abscissa, p, phi, psa, cf @ p @ cf.T
 
 
 def smoothed_error_covariance(loop: ClosedLoopModel, lag: float = None) -> CovarianceReport:
@@ -106,43 +116,37 @@ def smoothed_error_covariance(loop: ClosedLoopModel, lag: float = None) -> Covar
     by construction.  Also returns the filter-only error covariance Pf built
     from the estimator output rows against Cp0.
 
-    Raises StationarityError, from the Lyapunov solve, when the loop is not Hurwitz.
+    Raises StationarityError when the loop is not Hurwitz.
     """
-    compact = loop.compact
     if lag is None:
-        lag = compact.aug.delay.delta
-    n = compact.n
-    p = solve_lyapunov(loop.Abold, loop.Bbold @ loop.Bbold.T)
-    phi = expm(loop.Abold, lag)
-    cw = np.hstack([compact.aug.Cp0, np.zeros((compact.m, n))])
-    ca = np.hstack([np.zeros((compact.m, n)), compact.aug.Ca])
-    cross = ca @ phi @ p @ cw.T
-    psa = cw @ p @ cw.T - cross - cross.T + ca @ p @ ca.T
-    cf = cw - np.hstack([np.zeros((compact.m, n)), loop.solution.Cc])
-    pf = cf @ p @ cf.T
-    return CovarianceReport(P=p, Phi=phi, Psa=psa, Pf=pf,
+        lag = loop.compact.aug.delay.delta
+    abscissa, p, phi, psa, pf = _covariances(loop.compact, loop.solution,
+                                             loop.Abold[None], loop.Bbold, lag)
+    if abscissa[0] >= 0:
+        raise StationarityError("closed loop is not Hurwitz; no stationary covariance "
+                                f"exists (max Re eig = {abscissa[0]:.6g})")
+    return CovarianceReport(P=p[0], Phi=phi[0], Psa=psa[0], Pf=pf[0],
                             delta2=float(loop.Delta[-1, -1]) if loop.Delta.size else 0.0)
 
 
 def delta_sweep(compact: CompactPlant, sol: SynthesisSolution, grid,
                 delta1: float = 0.0) -> list[SweepRow]:
     """Evaluate (Psa, Pf) over a grid of measurement-uncertainty levels
-    delta2 in [-1, 0].  Points where the loop loses stability are flagged
-    rather than filled.  The returned table is sorted by delta2.
+    delta2 in [-1, 0], all loops as one stack.  Points where the loop loses
+    stability are flagged rather than filled.  The returned table is sorted
+    by delta2.
     """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid < -1.0) or np.any(grid > 0.0):
+    grid = np.sort(np.asarray(grid, dtype=float), kind="stable")
+    if not np.all((grid >= -1.0) & (grid <= 0.0)):
         raise ValueError("delta2 grid must lie within [-1, 0]")
-    rows = []
-    for d2 in sorted(grid):
-        loop = build_closed_loop(compact, sol, delta1=delta1, delta2=float(d2))
-        try:
-            rep = smoothed_error_covariance(loop)
-            psa, pf, stable = float(rep.Psa[0, 0]), float(rep.Pf[0, 0]), True
-        except StationarityError:
-            psa, pf, stable = float("nan"), float("nan"), False
-        rows.append(SweepRow(delta2=float(d2), psa=psa, pf=pf, hurwitz=stable))
-    return rows
+    abold, bbold, _ = _loops(compact, sol, delta1, grid)
+    abscissa, _, _, psa, pf = _covariances(compact, sol, abold, bbold,
+                                           compact.aug.delay.delta)
+    stable = abscissa < 0
+    psa_col, pf_col = np.full((2, len(grid)), np.nan)
+    psa_col[stable], pf_col[stable] = psa[:, 0, 0], pf[:, 0, 0]
+    return [SweepRow(*row) for row in zip(grid.tolist(), psa_col.tolist(),
+                                           pf_col.tolist(), stable.tolist())]
 
 
 def write_sweep_csv(rows: list[SweepRow], path, filter_output: str = "estimator-output-row") -> None:

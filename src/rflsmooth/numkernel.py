@@ -8,13 +8,14 @@ The Riccati solver handles the generic form
 with a sign-indefinite quadratic coefficient S, via an ordered real Schur
 decomposition of the associated Hamiltonian matrix, optionally refined by
 Newton-Kleinman iterations.  Lyapunov equations are solved by Bartels-Stewart:
-one real Schur form gives the Hurwitz test and a triangular Sylvester solve.
-The sensitivity of a Riccati solution is such a Lyapunov equation in its
-closed loop.
+one real Schur form, by a direct LAPACK `gees` call, gives the Hurwitz test
+and a triangular Sylvester solve.  The sensitivity of a Riccati solution is
+such a Lyapunov equation in its closed loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ __all__ = [
     "care_residual",
     "care_sensitivity",
     "solve_lyapunov",
-    "lyapunov_residual",
     "expm",
     "spectral_radius",
     "is_hurwitz",
@@ -38,6 +38,7 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
+_gees = sla.get_lapack_funcs("gees", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -172,10 +173,21 @@ def care_sensitivity(prob: RiccatiProblem, x: np.ndarray, rhs: np.ndarray) -> np
     return np.array([_lyap_schur(t, z, f) for f in rhs])
 
 
+@functools.lru_cache(maxsize=None)
+def _gees_lwork(n: int) -> int:
+    """The workspace scipy.linalg.schur queries; LAPACK sizes it from n alone."""
+    return int(_gees(lambda x: None, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
 def _schur_abscissa(a: np.ndarray):
     """Real Schur form A = Z T Z' and max Re eig(A), read from diag(T): LAPACK
-    gives each 2x2 block of T equal diagonal entries, its pair's real part."""
-    t, z = sla.schur(a)
+    gives each 2x2 block of T equal diagonal entries, its pair's real part.
+    One `gees` call, with scipy.linalg.schur's workspace and checks."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    t, _, _, _, z, _, info = _gees(lambda x: None, a, lwork=_gees_lwork(len(a)))
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     return t, z, float(np.diag(t).max())
 
 
@@ -186,36 +198,47 @@ def _lyap_schur(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def lyapunov_residual(a: np.ndarray, w: np.ndarray, p: np.ndarray) -> float:
-    return float(np.linalg.norm(a @ p + p @ a.T + w, "fro"))
+def _lyapunov_stack(a: np.ndarray, w: np.ndarray):
+    """Max Re eig of each A in the stack `a`, and the stack of P with
+    A P + P A' + W = 0 for its Hurwitz entries: one Schur form per entry.
+    Raises NumericalError when a residual exceeds the accepted threshold."""
+    abscissa, p = np.empty(len(a)), []
+    for i, ai in enumerate(a):
+        t, z, abscissa[i] = _schur_abscissa(ai)
+        if abscissa[i] < 0:
+            p.append(_lyap_schur(t, z, w))
+    a, p = a[abscissa < 0], np.reshape(p, (-1, *w.shape))
+    r = a @ p                   # P is symmetric, so P A' = (A P)'
+    res = np.linalg.norm(r + r.swapaxes(1, 2) + w, axis=(1, 2))
+    bound = 1e-8 * (1.0 + np.linalg.norm(p, axis=(1, 2))) * (1.0 + np.linalg.norm(a, axis=(1, 2)))
+    if np.any(res > bound):
+        raise NumericalError(f"Lyapunov residual too large: {res.max():.3e}")
+    return abscissa, p
 
 
 def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Solve the continuous Lyapunov equation  A P + P A' + W = 0.
 
-    A must be Hurwitz; W symmetric.  Raises StationarityError when A is not
-    Hurwitz (the stationary covariance does not exist) and NumericalError
-    when the residual exceeds the accepted threshold.
+    A must be Hurwitz; W symmetric.  Raises ValueError when A or W is not
+    finite, StationarityError when A is not Hurwitz (the stationary
+    covariance does not exist) and NumericalError when the residual exceeds
+    the accepted threshold.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if a.shape != w.shape or a.shape[0] != a.shape[1]:
         raise ValueError("A and W must be square matrices of equal size")
-    t, z, abscissa = _schur_abscissa(a)
-    if abscissa >= 0:
-        raise StationarityError(
-            "matrix is not Hurwitz; stationary Lyapunov equation has no "
-            f"solution (max Re eig = {abscissa:.6g})"
-        )
-    p = _lyap_schur(t, z, w)
-    res = lyapunov_residual(a, w, p)
-    if res > 1e-8 * (1.0 + np.linalg.norm(p, "fro")) * (1.0 + np.linalg.norm(a, "fro")):
-        raise NumericalError(f"Lyapunov residual too large: {res:.3e}")
-    return p
+    if not np.isfinite(w).all():
+        raise ValueError("W must not contain infs or NaNs")
+    abscissa, p = _lyapunov_stack(a[None], w)
+    if abscissa[0] >= 0:
+        raise StationarityError("matrix is not Hurwitz; stationary Lyapunov equation has no "
+                                f"solution (max Re eig = {abscissa[0]:.6g})")
+    return p[0]
 
 
 def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Transition matrix e^(A t) (scaling-and-squaring Pade, via SciPy)."""
+    """e^(A t) of a matrix or of each in a stack (scaling-and-squaring Pade, via SciPy)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     return sla.expm(a * t)
 

@@ -326,6 +326,15 @@ class TestCli:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_grid_below_one_rejected(self, tmp_path, capsys, points):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(fast_config(tmp_path)), "--grid", points,
+                      "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_reproduce_paper(self, tmp_path):
         out = tmp_path / "rep"
         code = cli.main(["reproduce-paper", "--out-dir", str(out)])

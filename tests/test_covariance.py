@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from rflsmooth import covariance, numkernel
 from rflsmooth.covariance import (
     build_closed_loop,
     delta_sweep,
@@ -9,7 +10,7 @@ from rflsmooth.covariance import (
     write_sweep_csv,
 )
 from rflsmooth.delay import pade_delay
-from rflsmooth.errors import StationarityError
+from rflsmooth.errors import StationarityError, ToolkitError
 from rflsmooth.example import phase_estimation_compact
 from rflsmooth.model import UncertainPlant, augment_with_delay, build_compact
 from rflsmooth.numkernel import solve_lyapunov
@@ -17,6 +18,7 @@ from rflsmooth.sim import sample_linear_loop
 from rflsmooth.synthesis import ScalingPoint, compute_gains
 
 from test_numkernel import lyap_kron_oracle
+from test_synthesis import stable_case
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +122,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             delta_sweep(paper_compact, paper_solution, [0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, paper_compact, paper_solution, bad):
+        with pytest.raises(ValueError, match=r"delta2 grid must lie within \[-1, 0\]"):
+            delta_sweep(paper_compact, paper_solution, [-0.5, bad])
+
+    def test_empty_grid(self, paper_compact, paper_solution):
+        assert delta_sweep(paper_compact, paper_solution, []) == []
+
     def test_unstable_rows_flagged_not_filled(self, paper_compact, paper_solution):
         import dataclasses
         broken = dataclasses.replace(paper_solution, Ac=-paper_solution.Ac)
@@ -151,9 +161,11 @@ def test_lyapunov_matches_kronecker_oracle_on_closed_loops(params, reference_poi
 
 def test_sweep_point_is_one_schur_form(monkeypatch, paper_compact, paper_solution):
     """Each sweep point decides stability and solves its Lyapunov equation
-    from one real Schur form; no eigenvalue call is made."""
-    calls = {"schur": 0, "eigvals": 0}
-    for module, name in ((sla, "schur"), (np.linalg, "eigvals")):
+    from one real Schur form, and one expm call serves the whole sweep; no
+    eigenvalue call is made and SciPy's schur wrapper is not used."""
+    calls = {"_schur_abscissa": 0, "expm": 0, "schur": 0, "eigvals": 0}
+    for module, name in ((numkernel, "_schur_abscissa"), (covariance, "expm"),
+                         (sla, "schur"), (np.linalg, "eigvals")):
         fn = getattr(module, name)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -163,7 +175,57 @@ def test_sweep_point_is_one_schur_form(monkeypatch, paper_compact, paper_solutio
         monkeypatch.setattr(module, name, counted)
     rows = delta_sweep(paper_compact, paper_solution, np.linspace(-1, 0, 7))
     assert all(r.hurwitz for r in rows)
-    assert calls == {"schur": 7, "eigvals": 0}
+    assert calls == {"_schur_abscissa": 7, "expm": 1, "schur": 0, "eigvals": 0}
+
+
+def _oracle_levels(compact, sol, loop):
+    """(Psa, Pf) from SciPy's own Lyapunov solver and expm, with the size of
+    the terms they are formed from."""
+    p = sla.solve_continuous_lyapunov(loop.Abold, -loop.Bbold @ loop.Bbold.T)
+    phi = sla.expm(loop.Abold * compact.aug.delay.delta)
+    n, m = compact.n, compact.m
+    cw = np.hstack([compact.aug.Cp0, np.zeros((m, n))])
+    ca = np.hstack([np.zeros((m, n)), compact.aug.Ca])
+    cf = cw - np.hstack([np.zeros((m, n)), sol.Cc])
+    terms = [(c1 @ x @ c2.T)[0, 0] for c1, x, c2 in
+             ((cw, p, cw), (ca, phi @ p, cw), (ca, p, ca), (cf, p, cf))]
+    return terms[0] - 2 * terms[1] + terms[2], terms[3], np.abs(terms).sum()
+
+
+def test_stacking_does_not_change_a_rows_bits():
+    """On generated plants of every (k, g) class behind every delay order,
+    each row of a stacked sweep has the bits of a one-point sweep and of the
+    single-loop path, its flag agrees with the eigenvalues, and a stable row
+    agrees with SciPy's Lyapunov solver and expm."""
+    grid = np.linspace(-1.0, 0.0, 6)
+    classes, orders, unstable = set(), set(), 0
+    for seed in range(400):
+        compact, lam = stable_case(seed)
+        for tau in (1.0, 100.0):
+            try:
+                sol = compute_gains(compact, ScalingPoint(lam=lam, tau=tau))
+            except ToolkitError:
+                continue
+            classes.add((compact.k, compact.g))
+            orders.add(compact.aug.delay.na)
+            for d1 in (0.0, -0.6):
+                for row in delta_sweep(compact, sol, grid, delta1=d1):
+                    assert repr(delta_sweep(compact, sol, [row.delta2], delta1=d1)) == repr([row])
+                    loop = build_closed_loop(compact, sol, delta1=d1, delta2=row.delta2)
+                    eig = np.linalg.eigvals(loop.Abold).real.max()
+                    if abs(eig) > 1e-12:
+                        assert row.hurwitz == (eig < 0), (seed, tau, d1, row)
+                    if not row.hurwitz:
+                        unstable += 1
+                        with pytest.raises(StationarityError):
+                            smoothed_error_covariance(loop)
+                        continue
+                    rep = smoothed_error_covariance(loop)
+                    assert repr((float(rep.Psa[0, 0]), float(rep.Pf[0, 0]))) == repr((row.psa, row.pf))
+                    psa, pf, scale = _oracle_levels(compact, sol, loop)
+                    assert abs(row.psa - psa) <= 1e-8 * scale, (seed, tau, d1, row)
+                    assert abs(row.pf - pf) <= 1e-8 * scale, (seed, tau, d1, row)
+    assert len(classes) == 9 and orders == set(range(7)) and unstable > 0
 
 
 def test_analytic_matches_linear_monte_carlo():

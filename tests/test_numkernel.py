@@ -181,6 +181,14 @@ class TestLyapunov:
         with pytest.raises(StationarityError, match="max Re eig"):
             solve_lyapunov(a, np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["A", "W"])
+    def test_non_finite_input_raises(self, which, bad):
+        a, w = -np.eye(2), np.eye(2)
+        (a if which == "A" else w)[0, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_lyapunov(a, w)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_lyapunov(np.eye(2) * -1, np.eye(3))
