@@ -135,6 +135,8 @@ class CompactPlant:
     components regularize the estimator-copy measurement channel.
     M_stack and N_stack hold the constant IQC multiplier terms, one per
     scaling entry: M(lambda) = sum_j lambda_j M_stack[j], likewise N.
+    frame is P = [N, D+] for the scaled noise's feedthrough D (Dt21, or Db21
+    if ktilde = 0): N spans D's null space orthonormally, D+ = D'(DD')^-1.
     """
 
     aug: AugmentedPlant
@@ -145,11 +147,10 @@ class CompactPlant:
     Dt21: np.ndarray
     Db21: np.ndarray
     J: np.ndarray
-    J21: np.ndarray
     Bp1w: np.ndarray
-    d0: float
     M_stack: np.ndarray
     N_stack: np.ndarray
+    frame: np.ndarray
 
     @property
     def plant(self) -> UncertainPlant:
@@ -375,7 +376,10 @@ def build_compact(aug: AugmentedPlant, j21: np.ndarray = None, d0: float = 1e-9)
 
     j = _construct_j(np.vstack([bp1w, db21]), np.vstack([bt1, dt21]))
     m_stack, n_stack = _multiplier_stacks(plant, r, h)
+    d = dt21 if k + 3 * g else db21      # full row rank, as Db21 = Dt21 J has
+    null = np.linalg.svd(d)[2][len(d):].T
     return CompactPlant(
-        aug=aug, Bt1=bt1, Ct1=ct1, Dt12=dt12, Ct2=ct2, Dt21=dt21,
-        Db21=db21, J=j, J21=j21, Bp1w=bp1w, d0=d0, M_stack=m_stack, N_stack=n_stack,
+        aug=aug, Bt1=bt1, Ct1=ct1, Dt12=dt12, Ct2=ct2, Dt21=dt21, Db21=db21, J=j,
+        Bp1w=bp1w, M_stack=m_stack, N_stack=n_stack,
+        frame=np.hstack([null, np.linalg.solve(d @ d.T, d).T]),
     )

@@ -29,6 +29,7 @@ __all__ = [
     "CareSolution",
     "solve_care",
     "care_residual",
+    "care_threshold",
     "care_sensitivity",
     "solve_lyapunov",
     "expm",
@@ -84,6 +85,11 @@ def care_residual(prob: RiccatiProblem, x: np.ndarray) -> float:
     """Frobenius norm of  X A + A' X + X S X + Q."""
     r = x @ prob.a + prob.a.T @ x + x @ prob.s @ x + prob.q
     return float(np.linalg.norm(r, "fro"))
+
+
+def care_threshold(x: np.ndarray) -> float:
+    """Largest accepted Frobenius residual of a Riccati solution X: 1e-8 (1 + ||X||_F^2)."""
+    return 1e-8 * (1.0 + np.linalg.norm(x, "fro") ** 2)
 
 
 def _hamiltonian_schur(prob: RiccatiProblem, imag_tol: float):
@@ -159,7 +165,7 @@ def solve_care(prob: RiccatiProblem, imag_tol: float = 1e-9) -> CareSolution:
     """
     x = _hamiltonian_schur(prob, imag_tol)
     res = care_residual(prob, x)
-    if res > 1e-8 * (1.0 + np.linalg.norm(x, "fro") ** 2):
+    if res > care_threshold(x):
         x, res = _newton_refine(prob, x)
     return CareSolution(x=x, residual=res)
 

@@ -20,7 +20,7 @@ from .example import (
     phase_estimation_compact,
     reference_scaling_point,
 )
-from .numkernel import is_hurwitz
+from .numkernel import care_threshold, is_hurwitz
 from .synthesis import compute_gains, feasible
 
 __all__ = ["matrix_check", "run_reproduction"]
@@ -100,8 +100,7 @@ def run_reproduction(realization: str = "paper", sweep_points: int = 21,
     checks.append(_scalar_check("Vtau", sol.Vtau, REFERENCE["Vtau"], VTAU_RTOL))
     checks.append(_flag_check(
         "riccati_residuals",
-        sol.residual_y <= 1e-8 * (1 + np.linalg.norm(sol.Y) ** 2)
-        and sol.residual_x <= 1e-8 * (1 + np.linalg.norm(sol.X) ** 2),
+        sol.residual_y <= care_threshold(sol.Y) and sol.residual_x <= care_threshold(sol.X),
         f"residual_y {sol.residual_y:.3e}, residual_x {sol.residual_x:.3e}"))
     checks.append(_flag_check("Y_positive_definite",
                               np.linalg.eigvalsh(sol.Y).min() > 0,

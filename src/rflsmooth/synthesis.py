@@ -7,26 +7,31 @@ Conventions
 lambda is ordered as [k uncertainty scalings, g difference scalings,
 g plant-nonlinearity scalings, g estimator-copy scalings], ktilde = k + 3g.
 
-The filter Riccati is solved in covariance orientation,
+The scaled noise is read in information form, from one Cholesky factor
+C C' = P'MP in the frame P = [N, D+] of D = Dt21 (`CompactPlant.frame`, N
+spanning D's null space).  With C split after N's columns and
+[U, V] = Bt1 P C^-T, E = Dt21 M^-1 Dt21' has E^-1 = C22 C22' and
+K = Bt1 M^-1 Dt21' E^-1 = Bt1 D+ - U C21'.  The filter Riccati is solved in
+covariance orientation,
 
-    At Y + Y At' - Y (Ct2' E^-1 Ct2 - R/tau) Y + W = 0,
+    At Y + Y At' - Y (Ct2' E^-1 Ct2 - R/tau) Y + U U' = 0,   At = Ap - K Ct2,
 
-with At = Ap - Bt1 M^-1 Dt21' E^-1 Ct2, E = Dt21 M^-1 Dt21', and
-W = Bt1 M^-1 Bt1' - Bt1 M^-1 Dt21' E^-1 Dt21 M^-1 Bt1'.  The companion
-equation is the estimation-cost Riccati
+and the companion equation is the estimation-cost Riccati
 
-    X Ap + Ap' X - (1/tau) X Bt1 M^-1 Bt1' X + (R - Gam G^-1 Gam') = 0,
+    X Ap + Ap' X - (1/tau) X (U U' + V V') X + (R - Gam G^-1 Gam') = 0,
 
 whose constant term is positive semidefinite by construction (it is a Schur
 complement of the stacked cost form), so a stabilizing PSD solution exists
-whenever Ap is Hurwitz.  With no uncertainty channels (ktilde = 0) the
-scaled noise products fall back to the physical ones and the filter Riccati
-reduces to the standard Kalman form.
+whenever Ap is Hurwitz.  U U' + V V' = Bt1 M^-1 Bt1', but neither M^-1 nor E
+is formed, so V keeps its digits up to the face where M turns singular.
+M > 0 when C's pivots clear working precision (`_factor`).  Without
+uncertainty channels (ktilde = 0) M = I in Db21's frame with noise input
+Bp1w, and the filter Riccati is the Kalman filter's.
 
 A scaling point is evaluated along one path, `_gains`: `_point_terms` tests
 admissibility and forms its multipliers (from the term stacks `build_compact`
-precomputes), M^-1, scaled noise and cost weights, which both Riccati solves
-read.  The bound search reads the same terms and solutions again for V's exact
+precomputes), scaled noise and cost weights, which both Riccati solves read.
+The bound search reads the same terms and solutions again for V's exact
 gradient (`_bound_gradient`).  A point that gives no bound raises a
 `ToolkitError`, never a bare LAPACK error.
 """
@@ -42,7 +47,8 @@ import numpy as np
 
 from .errors import CouplingError, InfeasibleError, NumericalError
 from .model import CompactPlant
-from .numkernel import RiccatiProblem, care_sensitivity, solve_care, spectral_radius
+from .numkernel import (RiccatiProblem, care_sensitivity, care_threshold, solve_care,
+                        spectral_radius)
 
 __all__ = [
     "ScalingPoint",
@@ -59,7 +65,6 @@ __all__ = [
 
 MU_PATH = 10.0 ** -np.arange(0.0, 8.1, 0.5)   # barrier weights of the path, 1 to 1e-8
 NEWTON_STEPS = 10         # most Newton steps at one barrier weight
-FLOOR = 1e-10             # least lambda_i and eig(M) over the largest; V loses digits below
 
 
 @dataclass(frozen=True)
@@ -135,26 +140,38 @@ def assemble_multipliers(compact: CompactPlant, lam: np.ndarray) -> MultiplierPa
     return MultiplierPair(M=(w * compact.M_stack).sum(axis=0), N=(w * compact.N_stack).sum(axis=0))
 
 
+def _factor(m: np.ndarray):
+    """Lower Cholesky factor of m if m > 0 to working precision: each pivot^2
+    above len(m) eps times its diagonal entry, its elimination's rounding."""
+    try:
+        c = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    rel = min(c.diagonal() ** 2 / m.diagonal(), default=math.inf)
+    return c if rel > len(m) * np.finfo(float).eps else None
+
+
 def _admissibility(compact: CompactPlant, lam: np.ndarray):
-    """(margin, multipliers) of lambda: the margin is the least eigenvalue of
-    I - J'M(lambda)J, -inf for a bad lambda or M not PD and inf without
-    uncertainty channels; the multipliers are None for a bad lambda."""
+    """(margin, multipliers, `_factor` of P'MP) of lambda: the margin is the
+    least eigenvalue of I - J'M(lambda)J, -inf for a bad lambda (multipliers
+    None) or no factor, and inf without uncertainty channels (M = I)."""
     if lam.size != compact.ktilde or np.any(lam < 0):
-        return -math.inf, None
-    mult = assemble_multipliers(compact, lam)
+        return -math.inf, None, None
+    mult, p = assemble_multipliers(compact, lam), compact.frame
+    c = _factor(p.T @ (mult.M if compact.ktilde else np.eye(len(p))) @ p)
+    if c is None:
+        return -math.inf, mult, None
     if compact.ktilde == 0:
-        return math.inf, mult
-    if np.linalg.eigvalsh(mult.M).min() <= 0:
-        return -math.inf, mult
+        return math.inf, mult, c
     gap = np.eye(compact.J.shape[1]) - compact.J.T @ mult.M @ compact.J
-    return float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()), mult
+    return float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()), mult, c
 
 
 def feasible(compact: CompactPlant, point: ScalingPoint):
     """Admissibility of a scaling point: lambda >= 0, M(lambda) > 0 and
     I - J'M(lambda)J >= 0 (equivalently M^-1 >= JJ', by a Schur complement).
     Returns (bool, margin) where the margin is the least eigenvalue of
-    I - J'MJ (-inf when M is not PD)."""
+    I - J'MJ (-inf when M is not PD to working precision)."""
     margin = _admissibility(compact, point.lam)[0]
     return margin >= 0, margin
 
@@ -172,7 +189,7 @@ def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPai
     n, m, g = compact.n, compact.m, compact.g
     tau = point.tau
     target = aug.Ca if delayed_target else aug.Cp0
-    sel = np.block([[np.eye(m), np.zeros((m, g))], [np.zeros((g, m)), np.zeros((g, g))]])
+    sel = np.diag(np.repeat([1.0, 0.0], (m, g)))        # I_m on the estimated outputs
     r = target.T @ target + tau * compact.Ct1.T @ mult.N @ compact.Ct1
     gmat = sel + tau * compact.Dt12.T @ mult.N @ compact.Dt12
     gam = -np.hstack([target.T, np.zeros((n, g))]) + tau * compact.Ct1.T @ mult.N @ compact.Dt12
@@ -181,99 +198,53 @@ def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPai
 
 @dataclass(frozen=True)
 class _PointTerms:
-    """Scaled noise (Wxx, Wxy, E, E^-1) and cost weights (R, G, Gam) of one
-    scaling point, with the M^-1 they were scaled by (None without uncertainty
-    channels)."""
+    """Scaled noise (C, U, V, K, E^-1, Wxx = U U' + V V'; see the module
+    docstring) and cost weights (R, G, Gam) of one scaling point."""
 
-    wxx: np.ndarray
-    wxy: np.ndarray
-    e: np.ndarray
+    c: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    k: np.ndarray
     einv: np.ndarray
+    wxx: np.ndarray
     r: np.ndarray
     gmat: np.ndarray
     gam: np.ndarray
-    minv: np.ndarray
 
 
 def _point_terms(compact: CompactPlant, point: ScalingPoint, delayed_target: bool) -> _PointTerms:
-    """A scaling point's terms; an inadmissible point, or one whose M is
-    singular to working precision, raises InfeasibleError.  Without
-    uncertainty channels the noise is physical."""
-    margin, mult = _admissibility(compact, point.lam)
+    """A scaling point's terms; an inadmissible point raises InfeasibleError."""
+    margin, mult, c = _admissibility(compact, point.lam)
     if not margin >= 0:
         raise InfeasibleError(
             f"scaling point is infeasible (margin {margin:.3e})", margin=margin
         )
-    minv = None
-    if compact.ktilde == 0:
-        b, d = bm, dm = compact.Bp1w, compact.Db21
-    else:
-        try:
-            minv = np.linalg.inv(mult.M)
-        except np.linalg.LinAlgError:       # though its least eigenvalue is positive
-            raise InfeasibleError("M(lambda) is singular to working precision",
-                                  margin=-math.inf) from None
-        b, d = compact.Bt1, compact.Dt21
-        bm, dm = b @ minv, d @ minv
-    wxx, wxy, e = bm @ b.T, bm @ d.T, dm @ d.T
-    return _PointTerms(wxx, wxy, e, np.linalg.inv(e),
-                       *cost_weights(compact, point, mult, delayed_target), minv)
+    z = len(c) - compact.l - compact.g                  # D has l + g rows
+    bp = (compact.Bt1 if compact.ktilde else compact.Bp1w) @ compact.frame
+    uv = np.linalg.solve(c, bp.T).T
+    u, v, c22 = uv[:, :z], uv[:, z:], c[z:, z:]
+    return _PointTerms(c, u, v, bp[:, z:] - u @ c[z:, :z].T, c22 @ c22.T,
+                       u @ u.T + v @ v.T, *cost_weights(compact, point, mult, delayed_target))
 
 
 def _filter_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
-    at = compact.aug.Ap - t.wxy @ t.einv @ compact.Ct2
-    s = -(compact.Ct2.T @ t.einv @ compact.Ct2 - t.r / point.tau)
-    w = t.wxx - t.wxy @ t.einv @ t.wxy.T
-    return RiccatiProblem(a=at.T, q=0.5 * (w + w.T), s=0.5 * (s + s.T))
+    s = t.r / point.tau - compact.Ct2.T @ t.einv @ compact.Ct2
+    return RiccatiProblem(a=(compact.aug.Ap - t.k @ compact.Ct2).T, q=t.u @ t.u.T,
+                          s=0.5 * (s + s.T))
 
 
 def _control_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
     q = t.r - t.gam @ np.linalg.solve(t.gmat, t.gam.T)
-    s = -t.wxx / point.tau
-    return RiccatiProblem(a=compact.aug.Ap, q=0.5 * (q + q.T), s=0.5 * (s + s.T))
-
-
-def _solve_filter(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
-    sol = solve_care(_filter_problem(compact, point, t))
-    if np.linalg.eigvalsh(sol.x).min() <= 0:
-        raise InfeasibleError(
-            "filter Riccati solution is not positive definite at this scaling point"
-        )
-    return sol.x, sol.residual
-
-
-def _solve_control(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
-    if np.linalg.eigvalsh(0.5 * (t.gmat + t.gmat.T)).min() <= 0:
-        raise InfeasibleError("cost weight G is singular at this scaling point")
-    sol = solve_care(_control_problem(compact, point, t))
-    if np.linalg.eigvalsh(sol.x).min() < -1e-10 * (1.0 + np.linalg.norm(sol.x)):
-        raise InfeasibleError(
-            "estimation-cost Riccati solution is not positive semidefinite"
-        )
-    return sol.x, sol.residual
-
-
-def _residual_threshold(x):
-    return 1e-8 * (1.0 + np.linalg.norm(x, "fro") ** 2)
-
-
-def _coupling(y, x, tau):
-    """rho(Y X), which must stay below tau."""
-    rho = spectral_radius(y @ x)
-    if rho >= tau:
-        raise CouplingError(
-            f"coupling condition violated: rho(YX) = {rho:.6e} >= tau = {tau:.6e}",
-            rho=rho, tau=tau,
-        )
-    return rho
+    return RiccatiProblem(a=compact.aug.Ap, q=0.5 * (q + q.T), s=-t.wxx / point.tau)
 
 
 def _bound_tail(compact: CompactPlant, t: _PointTerms, y, x, tau):
-    """Measurement gain Bc~, coupling correction (I - YX/tau)^-1 and V_tau."""
-    corr = np.linalg.inv(np.eye(compact.n) - (y @ x) / tau)
-    bc = (y @ compact.Ct2.T + t.wxy) @ t.einv
-    v = float(0.5 * np.trace(y @ t.r + bc @ t.e @ bc.T @ x @ corr))
-    return bc, corr, v
+    """Measurement gain Bc~ = Yc E^-1 + K, coupling correction (I - YX/tau)^-1
+    and Bc~ E Bc~' = Yc E^-1 Yc' + Yc K' + K Yc' + V V', with Yc = Y Ct2'."""
+    yc = y @ compact.Ct2.T
+    ye = yc @ t.einv
+    p = ye @ yc.T + (f := yc @ t.k.T) + f.T + t.v @ t.v.T
+    return ye + t.k, np.linalg.inv(np.eye(compact.n) - (y @ x) / tau), p
 
 
 def compute_gains(compact: CompactPlant, point: ScalingPoint,
@@ -287,17 +258,29 @@ def compute_gains(compact: CompactPlant, point: ScalingPoint,
 
 def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool):
     """`compute_gains`'s solution with the point terms it was formed from."""
-    terms = _point_terms(compact, point, delayed_target)
-    y, res_y = _solve_filter(compact, point, terms)
-    x, res_x = _solve_control(compact, point, terms)
-    if res_y > _residual_threshold(y):
-        raise NumericalError(f"filter Riccati residual {res_y:.3e} above threshold")
-    if res_x > _residual_threshold(x):
-        raise NumericalError(f"cost Riccati residual {res_x:.3e} above threshold")
-
-    tau = point.tau
-    rho = _coupling(y, x, tau)
-    bc, corr, v = _bound_tail(compact, terms, y, x, tau)
+    terms, tau = _point_terms(compact, point, delayed_target), point.tau
+    ysol = solve_care(_filter_problem(compact, point, terms))
+    ev = np.linalg.eigvalsh(ysol.x)       # Y > 0 to working precision, relative to its norm
+    if not ev[0] > len(ev) * np.finfo(float).eps * ev[-1]:
+        raise InfeasibleError(
+            "filter Riccati solution is not positive definite at this scaling point")
+    if np.linalg.eigvalsh(0.5 * (terms.gmat + terms.gmat.T)).min() <= 0:
+        raise InfeasibleError("cost weight G is singular at this scaling point")
+    xsol = solve_care(_control_problem(compact, point, terms))
+    if np.linalg.eigvalsh(xsol.x).min() < -1e-10 * (1.0 + np.linalg.norm(xsol.x)):
+        raise InfeasibleError("estimation-cost Riccati solution is not positive semidefinite")
+    for name, sol in (("filter", ysol), ("cost", xsol)):
+        if sol.residual > care_threshold(sol.x):
+            raise NumericalError(f"{name} Riccati residual {sol.residual:.3e} above threshold")
+    y, x = ysol.x, xsol.x
+    rho = spectral_radius(y @ x)
+    if rho >= tau:
+        raise CouplingError(
+            f"coupling condition violated: rho(YX) = {rho:.6e} >= tau = {tau:.6e}",
+            rho=rho, tau=tau,
+        )
+    bc, corr, p = _bound_tail(compact, terms, y, x, tau)
+    v = float(0.5 * np.trace(y @ terms.r + p @ x @ corr))
     g_gam = np.linalg.solve(terms.gmat, terms.gam.T)
     cc = -g_gam @ corr
     ac = (compact.aug.Ap + (y @ terms.r) / tau - bc @ compact.Ct2
@@ -305,39 +288,42 @@ def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool):
     return SynthesisSolution(
         point=point, Y=y, X=x, Ac=ac, Bc_tilde=bc, Cc_tilde=cc,
         Ca=compact.aug.Ca.copy(), Vtau=v, rho_yx=rho,
-        residual_y=res_y, residual_x=res_x, m=compact.m, l=compact.l,
+        residual_y=ysol.residual, residual_x=xsol.residual, m=compact.m, l=compact.l,
     ), terms
 
 
 def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerms):
     """Exact gradient of V_tau in (log tau, log lambda) at an evaluated point.
 
-    Each parameter's derivative of M^-1, N, the scaled noise and the cost
-    weights changes both Riccati equations; dY and dX follow from one
-    Lyapunov solve each in that equation's closed loop (`care_sensitivity`)
-    and are chained through Bc~, (I - YX/tau)^-1 and V_tau.  Derivatives are
-    stacked on a leading axis: log tau first, then each log lambda_i.
+    Each parameter's derivative of M (as Om = C^-1 P' dM P C^-T, whose blocks
+    give those of [U, V], K and E^-1), N and the cost weights changes both
+    Riccati equations; dY and dX follow from one Lyapunov solve each in that
+    equation's closed loop (`care_sensitivity`) and are chained through Bc~,
+    (I - YX/tau)^-1 and V_tau.  Derivatives are stacked on a leading axis:
+    log tau first, then each log lambda_i.
     """
     point, y, x = sol.point, sol.Y, sol.X
     tau, w, kt = point.tau, point.lam[:, None, None], compact.ktilde
-    ct1, dt12, ct2, bt1, dt21 = compact.Ct1, compact.Dt12, compact.Ct2, compact.Bt1, compact.Dt21
+    ct1, dt12, ct2 = compact.Ct1, compact.Dt12, compact.Ct2
     dlt = np.r_[1.0, np.zeros(kt)][:, None, None]            # d log tau
     mt = partial(np.swapaxes, axis1=1, axis2=2)              # transpose each entry
 
-    # cost weights through d(tau N); scaled noise through d(M^-1) = -M^-1 dM M^-1
+    # cost weights through d(tau N); scaled noise through Om: dWxx = -[U V] Om [U V]',
+    # d(U U') = -U Om11 U', dK = -U Om12 C22' and d(E^-1) = C22 Om22 C22'
     dtn = tau * np.concatenate([(w * compact.N_stack).sum(axis=0)[None], w * compact.N_stack])
     dr, dg, dgam = ct1.T @ dtn @ ct1, dt12.T @ dtn @ dt12, ct1.T @ dtn @ dt12
-    dminv = np.zeros((kt + 1,) + compact.M_stack.shape[1:])
+    z = t.u.shape[1]
+    c22, uv = t.c[z:, z:], np.hstack([t.u, t.v])
+    om = np.zeros((kt + 1,) + t.c.shape)
     if kt:
-        dminv[1:] = -(w * t.minv @ compact.M_stack @ t.minv)
-    dwxx, dwxy, de = bt1 @ dminv @ bt1.T, bt1 @ dminv @ dt21.T, dt21 @ dminv @ dt21.T
-    deinv = -t.einv @ de @ t.einv
+        white = np.linalg.solve(t.c, compact.frame.T)       # C^-1 P'
+        om[1:] = white @ (w * compact.M_stack) @ white.T
+    dwxx, dw = -uv @ om @ uv.T, -t.u @ om[:, :z, :z] @ t.u.T
+    dk, deinv = -t.u @ om[:, :z, z:] @ c22.T, c22 @ om[:, z:, z:] @ c22.T
 
-    # filter: a = At', S = R/tau - Ct2' E^-1 Ct2, Q = Wxx - Wxy E^-1 Wxy'
-    dat = -(dwxy @ t.einv + t.wxy @ deinv) @ ct2
+    # filter: a = At', S = R/tau - Ct2' E^-1 Ct2, Q = U U'
     ds = (dr - dlt * t.r) / tau - ct2.T @ deinv @ ct2
-    dw = dwxx - t.wxy @ deinv @ t.wxy.T - (f := dwxy @ t.einv @ t.wxy.T) - mt(f)
-    fy = y @ mt(dat)
+    fy = -y @ ct2.T @ mt(dk)
     dy = care_sensitivity(_filter_problem(compact, point, t), y, fy + mt(fy) + y @ ds @ y + dw)
 
     # estimation cost: a = Ap, S = -Wxx/tau, Q = R - Gam G^-1 Gam'
@@ -346,11 +332,11 @@ def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerm
     dx = care_sensitivity(_control_problem(compact, point, t), x,
                           x @ ((dlt * t.wxx - dwxx) / tau) @ x + dq)
 
-    # V = tr(Y R + P X corr) / 2 with P = Bc~ E Bc~', Bc~ = (Y Ct2' + Wxy) E^-1
-    bc, corr, _ = _bound_tail(compact, t, y, x, tau)
+    # V = tr(Y R + P X corr) / 2 with P = Bc~ E Bc~' (`_bound_tail`); d(V V') = dWxx - d(U U')
+    bc, corr, p = _bound_tail(compact, t, y, x, tau)
     dcorr = corr @ ((dy @ x + y @ dx - dlt * (y @ x)) / tau) @ corr
-    dbc = (dy @ ct2.T + dwxy) @ t.einv + bc @ t.e @ deinv
-    p, dp = bc @ t.e @ bc.T, (f := dbc @ t.e @ bc.T) + mt(f) + bc @ de @ bc.T
+    yc = y @ ct2.T
+    dp = (f := dy @ ct2.T @ bc.T + dk @ yc.T) + mt(f) + yc @ deinv @ yc.T + dwxx - dw
     dv = 0.5 * np.trace(dy @ t.r + y @ dr + dp @ x @ corr + p @ dx @ corr + p @ x @ dcorr,
                         axis1=1, axis2=2)
     if not np.isfinite(dv).all():
@@ -371,19 +357,15 @@ def _barrier(m_terms, s_terms, bounds, x):
     """Log barrier of x = (log tau, lambda): -log det M - log det(I - J'MJ)
     - sum log lambda_i - log(log tau - lo) - log(hi - log tau), M = sum lambda_i
     M_i (m_terms, s_terms stack M_i and J'M_i J), with its gradient and Hessian;
-    None outside the open set or below FLOOR."""
+    None outside the open set, whose M > 0 and I - J'MJ > 0 are `_factor`'s."""
     lam, t = x[1:], np.array([x[0] - bounds[0], bounds[1] - x[0]])
     w = lam[:, None, None]
     m, s = (w * m_terms).sum(axis=0), np.eye(s_terms.shape[1]) - (w * s_terms).sum(axis=0)
-    try:
-        ev = np.linalg.eigvalsh(m)
-        floor = FLOOR * max(lam.max(initial=0.0), ev.max(initial=0.0))
-        if t.min() <= 0 or min(lam.min(initial=np.inf), ev.min(initial=np.inf)) <= floor:
-            return None
-        logdet = np.log(ev).sum() + 2.0 * np.log(np.diag(np.linalg.cholesky(s))).sum()
-        a, c = np.linalg.solve(m, m_terms), np.linalg.solve(s, s_terms)
-    except np.linalg.LinAlgError:
+    if (t.min() <= 0 or lam.min(initial=np.inf) <= 0 or (f := _factor(m)) is None
+            or (fs := _factor(s)) is None):
         return None
+    logdet = 2.0 * (np.log(f.diagonal()).sum() + np.log(fs.diagonal()).sum())
+    a, c = np.linalg.solve(m, m_terms), np.linalg.solve(s, s_terms)
     grad = np.r_[1.0 / t[1] - 1.0 / t[0],
                  np.trace(c, axis1=1, axis2=2) - np.trace(a, axis1=1, axis2=2) - 1.0 / lam]
     hess = np.zeros((x.size, x.size))
@@ -454,7 +436,8 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
     """
     kt, bounds = compact.ktilde, (math.log(tau_bounds[0]), math.log(tau_bounds[1]))
     m_terms, trace, best, evaluations = compact.M_stack, [], None, 0
-    barrier = partial(_barrier, m_terms, compact.J.T @ m_terms @ compact.J, bounds)
+    p = compact.frame if kt else np.eye(0)      # M_i in the frame P'MP is factored in
+    barrier = partial(_barrier, p.T @ m_terms @ p, compact.J.T @ m_terms @ compact.J, bounds)
 
     def evaluate(x):
         """(V, (solution, terms)) at x, or (inf, None) where the evaluation raises."""

@@ -196,11 +196,16 @@ def test_stacking_does_not_change_a_rows_bits():
     """On generated plants of every (k, g) class behind every delay order,
     each row of a stacked sweep has the bits of a one-point sweep and of the
     single-loop path, its flag agrees with the eigenvalues, and a stable row
-    agrees with SciPy's Lyapunov solver and expm."""
+    agrees with SciPy's Lyapunov solver and expm.  `stable_case`'s (1, 0) and
+    (0, 1) plants have a square feedthrough D, so no filter noise and no
+    certified point; those classes come from plants with a two-wide
+    uncertainty channel or with no physical measurement."""
     grid = np.linspace(-1.0, 0.0, 6)
     classes, orders, unstable = set(), set(), 0
-    for seed in range(400):
-        compact, lam = stable_case(seed)
+    cases = [stable_case(seed) for seed in range(400)]
+    cases += [stable_case(seed, (1, 0), width=2) for seed in range(10)]
+    cases += [stable_case(seed, (0, 1), l=0) for seed in range(10)]
+    for seed, (compact, lam) in enumerate(cases):
         for tau in (1.0, 100.0):
             try:
                 sol = compute_gains(compact, ScalingPoint(lam=lam, tau=tau))

@@ -149,19 +149,21 @@ class TestFeasibility:
         assert ok and margin == np.inf
 
 
-def generated_case(rng, k, g, beta, a=((-1.0, 0.3), (0.0, -2.0)), delay=identity_delay(1)):
-    """A two-state plant with k uncertainty channels and g nonlinearities whose
-    noise factors through the stacked input (so J exists), and lambda >= 0."""
-    b_unc, b_nl = ([rng.standard_normal((2, 1)) for _ in range(n)] for n in (k, g))
-    d_unc, d_nl = ([rng.standard_normal((1, 1)) for _ in range(n)] for n in (k, g))
-    jtop = rng.standard_normal((k + g, 2))
+def generated_case(rng, k, g, beta, a=((-1.0, 0.3), (0.0, -2.0)), delay=identity_delay(1),
+                   width=1, l=1):
+    """A two-state plant with k uncertainty channels `width` wide, g
+    nonlinearities and l measurements (one or none) whose noise factors
+    through the stacked input (so J exists), and lambda >= 0."""
+    b_unc, b_nl = ([rng.standard_normal((2, w)) for _ in range(n)] for n, w in ((k, width), (g, 1)))
+    d_unc, d_nl = ([rng.standard_normal((l, w)) for _ in range(n)] for n, w in ((k, width), (g, 1)))
+    jtop = rng.standard_normal((k * width + g, 2))
     b1, d21 = (np.hstack(m) @ jtop if k + g else rng.standard_normal((r, 2))
-               for m, r in ((b_unc + b_nl, 2), (d_unc + d_nl, 1)))
+               for m, r in ((b_unc + b_nl, 2), (d_unc + d_nl, l)))
     plant = UncertainPlant(
-        A=a, B1=b1, C0=[[1.0, 0.0]], C2=[[0.5, 1.0]], D21=d21,
+        A=a, B1=b1, C0=[[1.0, 0.0]], C2=np.array([[0.5, 1.0]])[:l], D21=d21,
         B1_nl=b_nl, C1_nl=[rng.standard_normal((1, 2)) for _ in range(g)], D21_nl=d_nl,
-        B1_unc=b_unc, C1_unc=[rng.standard_normal((1, 2)) for _ in range(k)], D21_unc=d_unc,
-        beta=beta, S0=[np.eye(1)] * k,
+        B1_unc=b_unc, C1_unc=[rng.standard_normal((width, 2)) for _ in range(k)], D21_unc=d_unc,
+        beta=beta, S0=[np.eye(width)] * k,
     )
     compact = build_compact(augment_with_delay(plant, delay), d0=0.0)
     lam = rng.uniform(0.0, 1.5, compact.ktilde) * (rng.uniform(size=compact.ktilde) > 0.1)
@@ -347,26 +349,38 @@ class TestEvaluationPath:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"assemble_multipliers": 0, "solve_care": 0}
-        for name in calls:
-            fn = getattr(synthesis, name)
+        """The first argument of each call to a counted function, by name."""
+        calls = {}
+        for owner, name in ((synthesis, "assemble_multipliers"), (synthesis, "solve_care"),
+                            (np.linalg, "cholesky"), (np.linalg, "inv")):
+            fn, calls[name] = getattr(owner, name), []
 
             def counted(*args, _name=name, _fn=fn, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args[0])
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(synthesis, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return calls
 
     def test_one_assembly_two_riccati_solves(self, counts, paper_compact, reference_point):
         compute_gains(paper_compact, reference_point)
-        assert counts["assemble_multipliers"] <= 1
-        assert counts["solve_care"] == 2
+        assert len(counts["assemble_multipliers"]) <= 1
+        assert len(counts["solve_care"]) == 2
 
     def test_infeasible_point_rejected_before_any_solve(self, counts, paper_compact):
         with pytest.raises(InfeasibleError):
             compute_gains(paper_compact, ScalingPoint(lam=np.ones(4), tau=1e-6))
-        assert counts["solve_care"] == 0
+        assert counts["solve_care"] == []
+
+    def test_one_factor_of_m_and_no_inverse_of_it(self, paper_compact, reference_point, counts):
+        """M enters through one Cholesky factor of P'MP; the one inverse formed
+        is the coupling correction (I - YX/tau)^-1."""
+        sol = compute_gains(paper_compact, reference_point)
+        p, m = paper_compact.frame, assemble_multipliers(paper_compact, reference_point.lam).M
+        [factored], [inverted] = counts["cholesky"], counts["inv"]
+        np.testing.assert_array_equal(factored, p.T @ m @ p)
+        np.testing.assert_array_equal(
+            inverted, np.eye(paper_compact.n) - (sol.Y @ sol.X) / reference_point.tau)
 
 
 def test_delayed_target_variant(paper_compact, reference_point, paper_solution):
@@ -448,6 +462,75 @@ class TestBarrierPath:
         assert len(result.trace) < result.evaluations
 
 
+class TestInformationForm:
+    """One Cholesky factor of P'MP decides M > 0 and forms the scaled noise,
+    so V keeps its digits up to the face where M turns singular."""
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8, 1e-10, 1e-12])
+    def test_bound_keeps_its_digits_near_the_face(self, paper_compact, eps):
+        """lambda = (1 - eps, 1/2 - eps, eps, eps) nears the face through the
+        corner (1, 1/2, 0, 0).  Over 20 copies with inputs moved by 1e-13
+        relative, V spreads by at most 1e-12 relative; with M^-1 and E formed
+        it spread by 1.2e-11 to 3.3e-5."""
+        rng, lam, values = np.random.default_rng(0), np.array([1 - eps, 0.5 - eps, eps, eps]), []
+        for _ in range(20):
+            f = 1.0 + 1e-13 * rng.standard_normal(5)
+            values.append(compute_gains(
+                paper_compact, ScalingPoint(lam=lam * f[1:], tau=1.0987e-6 * f[0])).Vtau)
+        assert max(values) - min(values) <= 1e-12 * min(values)
+
+    def test_optimum_does_not_depend_on_the_realization(self, paper_compact, balanced_compact):
+        a = minimize_bound(paper_compact, n_starts=1).vtau
+        b = minimize_bound(balanced_compact, n_starts=1).vtau
+        assert abs(a - b) <= 1e-12 * a
+
+    def test_feasible_agrees_with_compute_gains(self):
+        """Generated points of every (k, g) class, lambda scaled into the LMI
+        set with some entries zero: compute_gains rejects a point for its
+        margin exactly when feasible does.  (0, 2) seed 51, (1, 2) seed 214 and
+        (2, 2) seed 31, among others, have an exactly singular M whose least
+        eigenvalue eigvalsh rounds up."""
+        for k, g in ((k, g) for k in range(3) for g in range(3)):
+            for seed in range(250):
+                rng = np.random.default_rng(seed)
+                compact, lam = generated_case(rng, k, g, tuple(rng.uniform(0.5, 2.0, g)))
+                point = ScalingPoint(lam=into_lmi_set(compact, lam), tau=1.0)
+                try:
+                    compute_gains(compact, point)
+                    margin = None
+                except InfeasibleError as exc:
+                    margin = exc.margin
+                except ToolkitError:
+                    margin = None
+                ok, at = feasible(compact, point)
+                assert (margin is None) == ok and margin in (None, at), (k, g, seed)
+
+    def test_exactly_singular_multiplier_rejected(self):
+        """(k, g) = (2, 1) seed 35 has lambda_2 = 0 and M exactly singular.
+        Its Cholesky factor exists, with a last pivot^2 of 3.4e-16 of its
+        diagonal entry; taking the factor's existence for M > 0 ended in a
+        NumericalError (cost Riccati residual 0.49)."""
+        rng = np.random.default_rng(35)
+        compact, lam = generated_case(rng, 2, 1, tuple(rng.uniform(0.5, 2.0, 1)))
+        point = ScalingPoint(lam=into_lmi_set(compact, lam), tau=1.0)
+        assert feasible(compact, point) == (False, -np.inf)
+        with pytest.raises(InfeasibleError) as info:
+            compute_gains(compact, point)
+        assert info.value.margin == -np.inf
+
+    @pytest.mark.parametrize("seed", [81, 162, 168, 1146])
+    def test_no_point_without_filter_noise(self, seed):
+        """`stable_case`'s (0, 1) and (1, 0) plants have a square feedthrough D,
+        so the filter noise is zero, Y is singular and no point is certified.
+        Each of these was certified at tau = 1 or 100 through rounding, with a
+        least eigenvalue of Y of 1e-16 or less."""
+        compact, lam = stable_case(seed)
+        assert len(compact.frame) == compact.l + compact.g      # D is square
+        for tau in (1.0, 100.0):
+            with pytest.raises(InfeasibleError):
+                compute_gains(compact, ScalingPoint(lam=lam, tau=tau))
+
+
 def difference_gradient(compact, point, delayed_target=False, h=1e-4):
     """Five-point central differences of V in (log tau, log lambda)."""
     grad = np.empty(compact.ktilde + 1)
@@ -517,15 +600,17 @@ class TestBoundGradient:
             assert checked == 5, (k, g)
 
 
-def stable_case(seed):
-    """A stable generated plant of a (k, g) class in {0, 1, 2}^2 behind the
-    identity delay or a balanced Pade delay of order 1-6, and lambda scaled
-    into the LMI set, all drawn from `seed`."""
+def stable_case(seed, kg=None, **shape):
+    """A stable generated plant of a (k, g) class in {0, 1, 2}^2, or of the
+    class kg, behind the identity delay or a balanced Pade delay of order 1-6,
+    and lambda scaled into the LMI set, all drawn from `seed`; `shape` takes
+    `generated_case`'s width and l."""
     rng = np.random.default_rng(seed)
     k, g, order = (int(rng.integers(0, n)) for n in (3, 3, 7))
+    k, g = kg or (k, g)
     beta = tuple(rng.uniform(0.5, 2.0, g))
     delay = pade_delay(order, rng.uniform(0.1, 1.0)) if order else identity_delay(1)
-    compact, lam = generated_case(rng, k, g, beta, random_hurwitz(rng, 2), delay)
+    compact, lam = generated_case(rng, k, g, beta, random_hurwitz(rng, 2), delay, **shape)
     return compact, into_lmi_set(compact, lam, rng.uniform(0.1, 1.2))
 
 
