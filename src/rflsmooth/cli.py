@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import sys
@@ -193,7 +194,9 @@ def _at_least(low: int, what: str):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="rflsmooth",
         description="Robust fixed-lag smoother synthesis and simulation toolkit",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,16 +55,20 @@ class SweepRow:
 
 def _loops(compact: CompactPlant, sol: SynthesisSolution, delta1: float, delta2: np.ndarray):
     """Abold closed at each entry of the 1-D `delta2`, as a (k, 2n, 2n) stack,
-    with Bbold (no Delta enters it) and the Delta stack.  Delta is a stacked
-    diagonal, so each entry takes the products of a single loop."""
+    with Bbold (no Delta enters it) and the Delta stack.  Delta is block diagonal,
+    delta1 I(r_s, h_s) per uncertainty channel s (norm |delta1|), then delta2 I_2g,
+    so each entry takes the products of a single loop."""
     for name, vals in (("delta1", np.array([delta1], dtype=float)), ("delta2", delta2)):
         over = vals[np.abs(vals) > 1.0 + 1e-12]
         if over.size:
             raise ValueError(f"{name} must satisfy |{name}| <= 1, got {over[0]}")
-    k, r, g, n = len(delta2), compact.r, compact.g, compact.n
-    delta = np.zeros((k, r + 2 * g, r + 2 * g))
-    diag = np.arange(r + 2 * g)
-    delta[:, diag, diag] = np.hstack([np.full((k, r), float(delta1)),
+    k, g, n = len(delta2), compact.g, compact.n
+    r_s, h_s = compact.plant.r_s + (2 * g,), compact.plant.h_s + (2 * g,)   # last: delta2's
+    blocks = zip(accumulate(r_s, initial=0), accumulate(h_s, initial=0), map(min, r_s, h_s))
+    rows, cols = np.array([(i + j, o + j) for i, o, d in blocks for j in range(d)],
+                          dtype=int).reshape(-1, 2).T
+    delta = np.zeros((k, compact.r + 2 * g, compact.h + 2 * g))
+    delta[:, rows, cols] = np.hstack([np.full((k, len(rows) - 2 * g), float(delta1)),
                                       np.repeat(delta2[:, None], 2 * g, axis=1)])
     bt1, ct1 = compact.Bt1, compact.Ct1
     dt12, dt21, ct2 = compact.Dt12, compact.Dt21, compact.Ct2
@@ -79,7 +84,7 @@ def _loops(compact: CompactPlant, sol: SynthesisSolution, delta1: float, delta2:
 
 def build_closed_loop(compact: CompactPlant, sol: SynthesisSolution,
                       delta1: float = 0.0, delta2: float = 0.0) -> ClosedLoopModel:
-    """Close the loop with Delta = diag(delta1 I_r, delta2 I_g, delta2 I_g).
+    """Close the loop with Delta = diag(delta1 I(r_s, h_s) per channel s, delta2 I_2g).
 
     delta1 scales the parametric-uncertainty channels, delta2 the
     measurement-nonlinearity channel and its estimator copy.  Both must lie

@@ -205,15 +205,18 @@ def _lyap_schur(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _lyapunov_stack(a: np.ndarray, w: np.ndarray):
-    """Max Re eig of each A in the stack `a`, and the stack of P with
-    A P + P A' + W = 0 for its Hurwitz entries: one Schur form per entry.
+    """Max Re eig of each A in the stack `a`, and the stack of P with A P + P A' + W = 0
+    for its Hurwitz entries: per entry only the `gees` and `trsyl` calls of `_lyap_schur`.
     Raises NumericalError when a residual exceeds the accepted threshold."""
-    abscissa, p = np.empty(len(a)), []
+    abscissa, (t, z) = np.empty(len(a)), np.empty((2, *a.shape))
     for i, ai in enumerate(a):
-        t, z, abscissa[i] = _schur_abscissa(ai)
-        if abscissa[i] < 0:
-            p.append(_lyap_schur(t, z, w))
-    a, p = a[abscissa < 0], np.reshape(p, (-1, *w.shape))
+        t[i], z[i], abscissa[i] = _schur_abscissa(ai)
+    a, t, z = (m[abscissa < 0] for m in (a, t, z))
+    y, scale = -(z.swapaxes(1, 2) @ w @ z), np.empty(len(a))
+    for i, ti in enumerate(t):
+        y[i], scale[i], _ = _trsyl(ti, ti, y[i], tranb="T")
+    p = (z @ y @ z.swapaxes(1, 2)) / scale[:, None, None]
+    p = 0.5 * (p + p.swapaxes(1, 2))
     r = a @ p                   # P is symmetric, so P A' = (A P)'
     res = np.linalg.norm(r + r.swapaxes(1, 2) + w, axis=(1, 2))
     bound = 1e-8 * (1.0 + np.linalg.norm(p, axis=(1, 2))) * (1.0 + np.linalg.norm(a, axis=(1, 2)))

@@ -353,11 +353,11 @@ class OptimizationResult:
     evaluations: int = 0      # compute_gains evaluations the search made
 
 
-def _barrier(m_terms, s_terms, bounds, x):
+def _barrier(m_terms, s_terms, bounds, x, derivatives=True):
     """Log barrier of x = (log tau, lambda): -log det M - log det(I - J'MJ)
     - sum log lambda_i - log(log tau - lo) - log(hi - log tau), M = sum lambda_i
-    M_i (m_terms, s_terms stack M_i and J'M_i J), with its gradient and Hessian;
-    None outside the open set, whose M > 0 and I - J'MJ > 0 are `_factor`'s."""
+    M_i (m_terms, s_terms stack M_i and J'M_i J), with its gradient and Hessian
+    if `derivatives`; None outside the open set, whose M > 0 and I - J'MJ > 0 are `_factor`'s."""
     lam, t = x[1:], np.array([x[0] - bounds[0], bounds[1] - x[0]])
     w = lam[:, None, None]
     m, s = (w * m_terms).sum(axis=0), np.eye(s_terms.shape[1]) - (w * s_terms).sum(axis=0)
@@ -365,6 +365,9 @@ def _barrier(m_terms, s_terms, bounds, x):
             or (fs := _factor(s)) is None):
         return None
     logdet = 2.0 * (np.log(f.diagonal()).sum() + np.log(fs.diagonal()).sum())
+    value = -logdet - np.log(lam).sum() - np.log(t).sum()
+    if not derivatives:
+        return value
     a, c = np.linalg.solve(m, m_terms), np.linalg.solve(s, s_terms)
     grad = np.r_[1.0 / t[1] - 1.0 / t[0],
                  np.trace(c, axis1=1, axis2=2) - np.trace(a, axis1=1, axis2=2) - 1.0 / lam]
@@ -372,7 +375,7 @@ def _barrier(m_terms, s_terms, bounds, x):
     hess[0, 0] = (t ** -2.0).sum()
     hess[1:, 1:] = (np.einsum("iab,jba->ij", a, a) + np.einsum("iab,jba->ij", c, c)
                     + np.diag(lam ** -2.0))
-    return -logdet - np.log(lam).sum() - np.log(t).sum(), grad, hess
+    return value, grad, hess
 
 
 def _backtrack(fun, x, f, d, slope):
@@ -462,12 +465,12 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         """The barrier path from x through MU_PATH; each accepted step is traced."""
         def phi(y):
             """(V + mu B, V, evaluated point) at y; None outside B's domain."""
-            if (by := barrier(y)) is None:
+            if (by := barrier(y, derivatives=False)) is None:
                 return None
             vy, at_y = evaluate(y)
-            return vy + mu * by[0], vy, at_y
+            return vy + mu * by, vy, at_y
 
-        if barrier(x) is None:
+        if (bx := barrier(x)) is None:      # B's derivatives do not depend on mu
             return
         v, at_x = evaluate(x)
         if at_x is None or (gu := gradient(at_x)) is None:
@@ -476,7 +479,7 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         hv = np.zeros((x.size, x.size))
         for mu in MU_PATH:
             for _ in range(NEWTON_STEPS):
-                b, gb, hb = barrier(x)
+                b, gb, hb = bx
                 scale = np.r_[1.0, x[1:]]                # dx / d(log tau, log lambda)
                 g = gu / scale + mu * gb
                 hc = mu * hb                             # stop near the path in B's metric,
@@ -493,19 +496,20 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
                 if (gy := gradient(at_y)) is None:
                     return
                 hv = _bfgs(hv, np.r_[y[0] - x[0], np.log(y[1:] / x[1:])], gy - gu)
-                x, gu = y, gy
+                x, gu, bx = y, gy, barrier(y)
                 trace.append((math.exp(x[0]), x[1:].tolist(), v))
 
     if starts is None:
         s_sum = compact.J.T @ m_terms.sum(axis=0) @ compact.J
         t = 0.5 / max(np.linalg.eigvalsh(s_sum).max(initial=0), 1.0)   # I - t s_sum > 0
         x = np.r_[sum(bounds) / 2, np.full(kt, t)]
+        bx = barrier(x)
         for _ in range(50):                          # damped Newton to the analytic centre
-            b, g, h = barrier(x)
+            b, g, h = bx
             d = -np.linalg.solve(h, g)
             if -(g @ d) < 1e-12 or (step := _backtrack(barrier, x, b, d, g @ d)) is None:
                 break
-            x = step[0]
+            x, bx = step
         starts, rng = [x[1:]], np.random.default_rng(seed)
         for _ in range(200 * (n_starts - 1) if kt else 0):
             if len(starts) == n_starts:

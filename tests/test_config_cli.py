@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rflsmooth import cli
 from rflsmooth.config import (
+    _SIM_PHYSICS,
     bundled_example_path,
     compact_from_config,
     load_config,
@@ -114,7 +117,52 @@ class TestConfig:
         assert sim_from_config(load_config(path), paper_compact).runs == 3
 
 
+@pytest.fixture(scope="module")
+def bundled():
+    doc = load_config(bundled_example_path())
+    return doc, compact_from_config(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(_SIM_PHYSICS)),
+       r=st.one_of(st.floats(-1e-10, 1e-10), st.floats(1e-8, 0.5), st.floats(-0.5, -1e-8)))
+def test_sim_physics_key_within_tolerance_of_plant(bundled, key, r):
+    """A [simulation] physics key scaled by 1 + r passes for |r| <= 1e-10 and
+    fails for |r| >= 1e-8, naming the key and the [plant]/[delay] entry it
+    contradicts."""
+    doc, compact = bundled
+    sim = dict(doc["simulation"], **{key: doc["simulation"][key] * (1.0 + r)})
+    doc = dict(doc, simulation=sim)
+    if abs(r) <= 1e-10:
+        assert sim_from_config(doc, compact).runs == 2000
+        return
+    with pytest.raises(ConfigError) as exc:
+        sim_from_config(doc, compact)
+    assert f"[simulation] {key} = " in str(exc.value) and _SIM_PHYSICS[key][0] in str(exc.value)
+
+
 class TestCli:
+    def test_one_parser_serves_every_command(self, tmp_path, monkeypatch):
+        """The parser is built once per process, and no command's options
+        carry into the next: each writes what a fresh parser's run writes."""
+        assert cli.build_parser() is cli.build_parser()
+        cfg = str(fast_config(tmp_path, "seed = 3\n"))
+        runs = [["synth", "--seed", "7"], ["synth"], ["sweep", "--grid", "5"], ["sweep"]]
+        for tag in ("shared", "fresh"):
+            if tag == "fresh":
+                monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            for i, argv in enumerate(runs):
+                assert cli.main([*argv, "--config", cfg, "--out-dir", str(tmp_path / tag / str(i))]) == 0
+        seeds = [json.loads((tmp_path / "shared" / str(i) / "manifest.json").read_text())
+                 ["master_seed"] for i in range(4)]
+        assert seeds == [7, 3, 3, 3]
+        assert len((tmp_path / "shared" / "3" / "sweep.csv").read_text().splitlines()) == 2 + 21
+        for i in range(len(runs)):
+            shared, fresh = (json.loads((tmp_path / tag / str(i) / "manifest.json").read_text())
+                             for tag in ("shared", "fresh"))
+            assert shared["checksums"] == fresh["checksums"]
+            assert shared["master_seed"] == fresh["master_seed"]
+
     def test_synth_pinned(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["synth", "--paper-realization", "--out-dir", str(out)])

@@ -18,7 +18,7 @@ from rflsmooth.sim import sample_linear_loop
 from rflsmooth.synthesis import ScalingPoint, compute_gains
 
 from test_numkernel import lyap_kron_oracle
-from test_synthesis import stable_case
+from test_synthesis import generated_case, into_lmi_set, stable_case
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +231,24 @@ def test_stacking_does_not_change_a_rows_bits():
                     assert abs(row.psa - psa) <= 1e-8 * scale, (seed, tau, d1, row)
                     assert abs(row.pf - pf) <= 1e-8 * scale, (seed, tau, d1, row)
     assert len(classes) == 9 and orders == set(range(7)) and unstable > 0
+
+
+def test_rectangular_uncertainty_channel():
+    """A channel with r_s = 2 inputs and h_s = 1 output closes with
+    Delta = delta1 I(2, 1), of norm |delta1|, and its rows agree with the
+    single-loop path and with SciPy's Lyapunov solver and expm."""
+    compact, _ = generated_case(np.random.default_rng(0), 1, 0, (), width=2, height=1)
+    assert (compact.r, compact.h) == (2, 1)
+    sol = compute_gains(compact, ScalingPoint(lam=into_lmi_set(compact, np.ones(1)), tau=1.0))
+    rows = delta_sweep(compact, sol, np.linspace(-1.0, 0.0, 3), delta1=-0.6)
+    assert all(row.hurwitz for row in rows)
+    for row in rows:
+        loop = build_closed_loop(compact, sol, delta1=-0.6, delta2=row.delta2)
+        assert np.array_equal(loop.Delta, [[-0.6], [0.0]])
+        rep = smoothed_error_covariance(loop)
+        assert repr((float(rep.Psa[0, 0]), float(rep.Pf[0, 0]))) == repr((row.psa, row.pf))
+        psa, pf, scale = _oracle_levels(compact, sol, loop)
+        assert abs(row.psa - psa) <= 1e-8 * scale and abs(row.pf - pf) <= 1e-8 * scale
 
 
 def test_analytic_matches_linear_monte_carlo():

@@ -5,7 +5,10 @@ import scipy.linalg as sla
 from rflsmooth.errors import InfeasibleError, StationarityError
 from rflsmooth.numkernel import (
     RiccatiProblem,
+    _lyap_schur,
+    _lyapunov_stack,
     _newton_refine,
+    _schur_abscissa,
     care_residual,
     care_sensitivity,
     expm,
@@ -192,6 +195,38 @@ class TestLyapunov:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_lyapunov(np.eye(2) * -1, np.eye(3))
+
+
+class TestLyapunovStack:
+    """The stack path does per entry only the `gees` and `trsyl` calls; the
+    rest is done once over the stack with the bits of one entry alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 14])
+    def test_mixed_stack_matches_single_entries(self, n):
+        rng = np.random.default_rng(n)
+        a = np.array([random_hurwitz(rng, n) * (-1.0 if i % 3 == 1 else 1.0) for i in range(9)])
+        g = rng.standard_normal((n, n))
+        w = g @ g.T
+        abscissa, p = _lyapunov_stack(a, w)
+        schur = [_schur_abscissa(ai) for ai in a]
+        assert np.array_equal(abscissa, [s[2] for s in schur])
+        stable = [i for i, s in enumerate(schur) if s[2] < 0]
+        assert len(stable) == 6 and p.shape == (6, n, n)
+        for pj, i in zip(p, stable):
+            assert np.array_equal(pj, solve_lyapunov(a[i], w))
+            assert np.array_equal(pj, _lyap_schur(*schur[i][:2], w))
+
+    def test_all_unstable_stack(self):
+        a = np.array([np.eye(3), [[0.1, 1.0, 0.0], [-1.0, 0.1, 0.0], [0.0, 0.0, -1.0]]])
+        abscissa, p = _lyapunov_stack(a, np.eye(3))
+        assert p.shape == (0, 3, 3) and np.array_equal(abscissa, [1.0, 0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        a = np.array([-np.eye(2)] * 3)
+        a[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _lyapunov_stack(a, np.eye(2))
 
 
 class TestExpm:

@@ -150,10 +150,11 @@ class TestFeasibility:
 
 
 def generated_case(rng, k, g, beta, a=((-1.0, 0.3), (0.0, -2.0)), delay=identity_delay(1),
-                   width=1, l=1):
-    """A two-state plant with k uncertainty channels `width` wide, g
-    nonlinearities and l measurements (one or none) whose noise factors
-    through the stacked input (so J exists), and lambda >= 0."""
+                   width=1, l=1, height=None):
+    """A two-state plant with k uncertainty channels `width` wide (inputs)
+    and `height` (outputs, default `width`) high, g nonlinearities and l
+    measurements (one or none) whose noise factors through the stacked input
+    (so J exists), and lambda >= 0."""
     b_unc, b_nl = ([rng.standard_normal((2, w)) for _ in range(n)] for n, w in ((k, width), (g, 1)))
     d_unc, d_nl = ([rng.standard_normal((l, w)) for _ in range(n)] for n, w in ((k, width), (g, 1)))
     jtop = rng.standard_normal((k * width + g, 2))
@@ -162,7 +163,8 @@ def generated_case(rng, k, g, beta, a=((-1.0, 0.3), (0.0, -2.0)), delay=identity
     plant = UncertainPlant(
         A=a, B1=b1, C0=[[1.0, 0.0]], C2=np.array([[0.5, 1.0]])[:l], D21=d21,
         B1_nl=b_nl, C1_nl=[rng.standard_normal((1, 2)) for _ in range(g)], D21_nl=d_nl,
-        B1_unc=b_unc, C1_unc=[rng.standard_normal((width, 2)) for _ in range(k)], D21_unc=d_unc,
+        B1_unc=b_unc, C1_unc=[rng.standard_normal((height or width, 2)) for _ in range(k)],
+        D21_unc=d_unc,
         beta=beta, S0=[np.eye(width)] * k,
     )
     compact = build_compact(augment_with_delay(plant, delay), d0=0.0)
