@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -21,13 +20,15 @@ __all__ = ["ClosedLoopModel", "CovarianceReport", "SweepRow", "build_closed_loop
 @dataclass(frozen=True)
 class ClosedLoopModel:
     """Stacked plant/estimator loop dX = Abold X dt + Bbold dW under a fixed
-    contraction Delta closing the uncertainty channels."""
+    contraction Delta closing the uncertainty channels, delta2 its
+    measurement-nonlinearity level (Delta holds no entry of it when g = 0)."""
 
     compact: CompactPlant
     solution: SynthesisSolution
     Abold: np.ndarray
     Bbold: np.ndarray
     Delta: np.ndarray
+    delta2: float = 0.0
 
     def is_hurwitz(self) -> bool:
         return is_hurwitz(self.Abold)
@@ -63,13 +64,14 @@ def _loops(compact: CompactPlant, sol: SynthesisSolution, delta1: float, delta2:
         if over.size:
             raise ValueError(f"{name} must satisfy |{name}| <= 1, got {over[0]}")
     k, g, n = len(delta2), compact.g, compact.n
-    r_s, h_s = compact.plant.r_s + (2 * g,), compact.plant.h_s + (2 * g,)   # last: delta2's
-    blocks = zip(accumulate(r_s, initial=0), accumulate(h_s, initial=0), map(min, r_s, h_s))
-    rows, cols = np.array([(i + j, o + j) for i, o, d in blocks for j in range(d)],
-                          dtype=int).reshape(-1, 2).T
-    delta = np.zeros((k, compact.r + 2 * g, compact.h + 2 * g))
-    delta[:, rows, cols] = np.hstack([np.full((k, len(rows) - 2 * g), float(delta1)),
-                                      np.repeat(delta2[:, None], 2 * g, axis=1)])
+    r_s, h_s = compact.plant.r_s, compact.plant.h_s
+    r_off, h_off = np.cumsum((0,) + r_s), np.cumsum((0,) + h_s)
+    delta = np.zeros((k, r_off[-1] + 2 * g, h_off[-1] + 2 * g))
+    for ro, ho, rs, hs in zip(r_off, h_off, r_s, h_s):
+        d = np.arange(min(rs, hs))       # assigned, not delta1 * eye: no -0.0 entries
+        delta[:, ro + d, ho + d] = delta1
+    d = np.arange(2 * g)
+    delta[:, r_off[-1] + d, h_off[-1] + d] = delta2[:, None]
     bt1, ct1 = compact.Bt1, compact.Ct1
     dt12, dt21, ct2 = compact.Dt12, compact.Dt21, compact.Ct2
     ac, bc, cc = sol.Ac, sol.Bc_tilde, sol.Cc_tilde
@@ -91,8 +93,8 @@ def build_closed_loop(compact: CompactPlant, sol: SynthesisSolution,
     in the unit interval in magnitude.
     """
     abold, bbold, delta = _loops(compact, sol, delta1, np.array([delta2], dtype=float))
-    return ClosedLoopModel(compact=compact, solution=sol,
-                           Abold=abold[0], Bbold=bbold, Delta=delta[0])
+    return ClosedLoopModel(compact=compact, solution=sol, Abold=abold[0], Bbold=bbold,
+                           Delta=delta[0], delta2=float(delta2))
 
 
 def _covariances(compact: CompactPlant, sol: SynthesisSolution, abold: np.ndarray,
@@ -130,8 +132,7 @@ def smoothed_error_covariance(loop: ClosedLoopModel, lag: float = None) -> Covar
     if abscissa[0] >= 0:
         raise StationarityError("closed loop is not Hurwitz; no stationary covariance "
                                 f"exists (max Re eig = {abscissa[0]:.6g})")
-    return CovarianceReport(P=p[0], Phi=phi[0], Psa=psa[0], Pf=pf[0],
-                            delta2=float(loop.Delta[-1, -1]) if loop.Delta.size else 0.0)
+    return CovarianceReport(P=p[0], Phi=phi[0], Psa=psa[0], Pf=pf[0], delta2=loop.delta2)
 
 
 def delta_sweep(compact: CompactPlant, sol: SynthesisSolution, grid,

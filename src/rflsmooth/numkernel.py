@@ -134,7 +134,7 @@ def _newton_refine(prob: RiccatiProblem, x: np.ndarray, sweeps: int = 5):
         if abscissa >= 0:
             break
         f = best @ prob.a + prob.a.T @ best + best @ prob.s @ best + prob.q
-        delta = _lyap_schur(t, z, f)
+        delta = _lyap_schur(t[None], z, f[None])[0]
         cand = 0.5 * ((best + delta) + (best + delta).T)
         res = care_residual(prob, cand)
         if res >= best_res:
@@ -176,7 +176,7 @@ def care_sensitivity(prob: RiccatiProblem, x: np.ndarray, rhs: np.ndarray) -> np
     equation at fixed X, gives dX from (A + S X)' dX + dX (A + S X) + F = 0.
     One Schur form of the closed loop serves every entry (Kenney & Hewer)."""
     t, z, _ = _schur_abscissa((prob.a + prob.s @ x).T)
-    return np.array([_lyap_schur(t, z, f) for f in rhs])
+    return _lyap_schur(np.broadcast_to(t, rhs.shape), z, rhs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,25 +198,24 @@ def _schur_abscissa(a: np.ndarray):
 
 
 def _lyap_schur(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve A P + P A' + W = 0 given A = Z T Z' (Bartels-Stewart)."""
-    y, scale, _ = _trsyl(t, t, -(z.T @ w @ z), tranb="T")
-    p = (z @ y @ z.T) / scale
-    return 0.5 * (p + p.T)
+    """Solve A P + P A' + W = 0 for each A = Z T Z' of the stack `t` (Bartels-Stewart):
+    z or w (not both) may be one matrix for every entry; only `trsyl` runs per entry."""
+    y, scale = -(z.swapaxes(-1, -2) @ w @ z), np.empty(len(t))
+    for i, ti in enumerate(t):
+        y[i], scale[i], _ = _trsyl(ti, ti, y[i], tranb="T")
+    p = (z @ y @ z.swapaxes(-1, -2)) / scale[:, None, None]
+    return 0.5 * (p + p.swapaxes(1, 2))
 
 
 def _lyapunov_stack(a: np.ndarray, w: np.ndarray):
     """Max Re eig of each A in the stack `a`, and the stack of P with A P + P A' + W = 0
-    for its Hurwitz entries: per entry only the `gees` and `trsyl` calls of `_lyap_schur`.
+    for its Hurwitz entries: per entry only the `gees` call and, in `_lyap_schur`, `trsyl`.
     Raises NumericalError when a residual exceeds the accepted threshold."""
     abscissa, (t, z) = np.empty(len(a)), np.empty((2, *a.shape))
     for i, ai in enumerate(a):
         t[i], z[i], abscissa[i] = _schur_abscissa(ai)
     a, t, z = (m[abscissa < 0] for m in (a, t, z))
-    y, scale = -(z.swapaxes(1, 2) @ w @ z), np.empty(len(a))
-    for i, ti in enumerate(t):
-        y[i], scale[i], _ = _trsyl(ti, ti, y[i], tranb="T")
-    p = (z @ y @ z.swapaxes(1, 2)) / scale[:, None, None]
-    p = 0.5 * (p + p.swapaxes(1, 2))
+    p = _lyap_schur(t, z, w)
     r = a @ p                   # P is symmetric, so P A' = (A P)'
     res = np.linalg.norm(r + r.swapaxes(1, 2) + w, axis=(1, 2))
     bound = 1e-8 * (1.0 + np.linalg.norm(p, axis=(1, 2))) * (1.0 + np.linalg.norm(a, axis=(1, 2)))

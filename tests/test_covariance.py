@@ -196,10 +196,11 @@ def test_stacking_does_not_change_a_rows_bits():
     """On generated plants of every (k, g) class behind every delay order,
     each row of a stacked sweep has the bits of a one-point sweep and of the
     single-loop path, its flag agrees with the eigenvalues, and a stable row
-    agrees with SciPy's Lyapunov solver and expm.  `stable_case`'s (1, 0) and
-    (0, 1) plants have a square feedthrough D, so no filter noise and no
-    certified point; those classes come from plants with a two-wide
-    uncertainty channel or with no physical measurement."""
+    agrees with SciPy's Lyapunov solver and expm; the single-loop report gives
+    the row's delta2, also where g = 0 and Delta holds no entry of it.
+    `stable_case`'s (1, 0) and (0, 1) plants have a square feedthrough D, so
+    no filter noise and no certified point; those classes come from plants
+    with a two-wide uncertainty channel or with no physical measurement."""
     grid = np.linspace(-1.0, 0.0, 6)
     classes, orders, unstable = set(), set(), 0
     cases = [stable_case(seed) for seed in range(400)]
@@ -227,6 +228,7 @@ def test_stacking_does_not_change_a_rows_bits():
                         continue
                     rep = smoothed_error_covariance(loop)
                     assert repr((float(rep.Psa[0, 0]), float(rep.Pf[0, 0]))) == repr((row.psa, row.pf))
+                    assert rep.delta2 == row.delta2
                     psa, pf, scale = _oracle_levels(compact, sol, loop)
                     assert abs(row.psa - psa) <= 1e-8 * scale, (seed, tau, d1, row)
                     assert abs(row.pf - pf) <= 1e-8 * scale, (seed, tau, d1, row)
@@ -236,7 +238,8 @@ def test_stacking_does_not_change_a_rows_bits():
 def test_rectangular_uncertainty_channel():
     """A channel with r_s = 2 inputs and h_s = 1 output closes with
     Delta = delta1 I(2, 1), of norm |delta1|, and its rows agree with the
-    single-loop path and with SciPy's Lyapunov solver and expm."""
+    single-loop path and with SciPy's Lyapunov solver and expm.  Delta's last
+    entry is 0, and the report still gives the delta2 the loop was closed at."""
     compact, _ = generated_case(np.random.default_rng(0), 1, 0, (), width=2, height=1)
     assert (compact.r, compact.h) == (2, 1)
     sol = compute_gains(compact, ScalingPoint(lam=into_lmi_set(compact, np.ones(1)), tau=1.0))
@@ -247,6 +250,7 @@ def test_rectangular_uncertainty_channel():
         assert np.array_equal(loop.Delta, [[-0.6], [0.0]])
         rep = smoothed_error_covariance(loop)
         assert repr((float(rep.Psa[0, 0]), float(rep.Pf[0, 0]))) == repr((row.psa, row.pf))
+        assert rep.delta2 == row.delta2 and loop.delta2 == row.delta2
         psa, pf, scale = _oracle_levels(compact, sol, loop)
         assert abs(row.psa - psa) <= 1e-8 * scale and abs(row.pf - pf) <= 1e-8 * scale
 

@@ -214,7 +214,7 @@ class TestLyapunovStack:
         assert len(stable) == 6 and p.shape == (6, n, n)
         for pj, i in zip(p, stable):
             assert np.array_equal(pj, solve_lyapunov(a[i], w))
-            assert np.array_equal(pj, _lyap_schur(*schur[i][:2], w))
+            assert np.array_equal(pj, _lyap_schur(schur[i][0][None], schur[i][1][None], w)[0])
 
     def test_all_unstable_stack(self):
         a = np.array([np.eye(3), [[0.1, 1.0, 0.0], [-1.0, 0.1, 0.0], [0.0, 0.0, -1.0]]])
