@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import StationarityError
 from .model import CompactPlant
-from .numkernel import _lyapunov_stack, expm, is_hurwitz
+from .numkernel import _lyapunov_stack, _schur_abscissa, expm, is_hurwitz
 from .synthesis import SynthesisSolution
 
 __all__ = ["ClosedLoopModel", "CovarianceReport", "SweepRow", "build_closed_loop",
@@ -36,8 +36,8 @@ class ClosedLoopModel:
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    """Stationary covariance P, lag transition matrix Phi, and the smoothed
-    (Psa) and filter-only (Pf) error covariances."""
+    """Stationary covariance P and lag transition matrix Phi over the states [x; x^],
+    and the smoothed (Psa) and filter-only (Pf) error covariances."""
 
     P: np.ndarray
     Phi: np.ndarray
@@ -99,17 +99,23 @@ def build_closed_loop(compact: CompactPlant, sol: SynthesisSolution,
 
 def _covariances(compact: CompactPlant, sol: SynthesisSolution, abold: np.ndarray,
                  bbold: np.ndarray, lag: float):
-    """Max Re eig of each loop in the stack `abold`, and P, Phi, Psa and Pf of
-    its Hurwitz entries, as stacks from one Schur form each and one expm call."""
-    n, m = compact.n, compact.m
-    cw = np.hstack([compact.aug.Cp0, np.zeros((m, n))])
-    ca = np.hstack([np.zeros((m, n)), compact.aug.Ca])
-    cf = cw - np.hstack([np.zeros((m, n)), sol.Cc])
-    abscissa, p = _lyapunov_stack(abold, bbold @ bbold.T)
+    """Max Re eig of each loop in the stack `abold`, and P, Phi, Psa and Pf of its Hurwitz
+    entries over the states [x; x^], from one Schur form each and one expm call.  The
+    plant's delay states enter no other state and no readout, so the loop's eigenvalues
+    are Fa's and the [x; x^] block's, solved in reverse order: the estimator's fast delay
+    states lead, and LAPACK's Schur form keeps more digits of a matrix graded downward."""
+    nbar, n, m = compact.plant.nbar, compact.n, compact.m
+    keep = np.r_[:nbar, n:2 * n][::-1]
+    floor = _schur_abscissa(compact.aug.delay.fa)[2] if compact.aug.na else -np.inf
+    cw = np.hstack([compact.plant.C0, np.zeros((m, n))])
+    ca = np.hstack([np.zeros((m, nbar)), compact.aug.Ca])
+    cw, ca, cf = (c[:, ::-1] for c in (cw, ca, cw - np.hstack([np.zeros((m, nbar)), sol.Cc])))
+    abold, bbold = abold[:, keep[:, None], keep], bbold[keep]
+    abscissa, p = _lyapunov_stack(abold, bbold @ bbold.T, floor)
     phi = expm(abold[abscissa < 0], lag)
     cross = ca @ phi @ p @ cw.T
     psa = cw @ p @ cw.T - cross - cross.swapaxes(1, 2) + ca @ p @ ca.T
-    return abscissa, p, phi, psa, cf @ p @ cf.T
+    return abscissa, p[:, ::-1, ::-1], phi[:, ::-1, ::-1], psa, cf @ p @ cf.T
 
 
 def smoothed_error_covariance(loop: ClosedLoopModel, lag: float = None) -> CovarianceReport:
@@ -117,11 +123,11 @@ def smoothed_error_covariance(loop: ClosedLoopModel, lag: float = None) -> Covar
 
         Psa = cw P cw' - ca Phi P cw' - (ca Phi P cw')' + ca P ca'
 
-    with cw = [Cp0, 0] selecting the estimated plant output, ca = [0, Ca]
-    selecting the delayed readout of the estimator state, and
-    Phi = e^(Abold * lag).  The cross term is symmetrized so Psa is symmetric
-    by construction.  Also returns the filter-only error covariance Pf built
-    from the estimator output rows against Cp0.
+    over the plant and estimator states [x; x^], with cw = [C0, 0] selecting the
+    estimated plant output, ca = [0, Ca] the delayed readout of the estimator
+    state, and Phi = e^(Abold * lag).  The cross term is symmetrized so Psa is
+    symmetric by construction.  Also returns the filter-only error covariance
+    Pf built from the estimator output rows against C0.
 
     Raises StationarityError when the loop is not Hurwitz.
     """

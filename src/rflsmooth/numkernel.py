@@ -16,7 +16,6 @@ such a Lyapunov equation in its closed loop.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,19 +92,19 @@ def care_threshold(x: np.ndarray) -> float:
 
 
 def _hamiltonian_schur(prob: RiccatiProblem, imag_tol: float):
-    """Stabilizing solution from one ordered real Schur form of the Hamiltonian,
-    which also gives the imaginary-axis test."""
+    """Stabilizing solution from one ordered real Schur form of the Hamiltonian, which
+    also gives the imaginary-axis test: scipy.linalg.schur's sort="lhp", by direct `gees`."""
     n = prob.n
     ham = np.empty((2 * n, 2 * n))
     ham[:n, :n], ham[:n, n:], ham[n:, :n], ham[n:, n:] = prob.a, prob.s, -prob.q, -prob.a.T
-    try:
-        t, z, sdim = sla.schur(ham, sort="lhp")
-    except np.linalg.LinAlgError as exc:    # reordering moved an eigenvalue across the axis
-        raise InfeasibleError(f"ordered Schur form failed: {exc}",
-                              eigenvalues=np.linalg.eigvals(ham)) from None
-    eigs = np.diag(t).astype(complex)
-    for i in np.flatnonzero(np.diag(t, -1)):        # 2x2 block [[a, b], [c, a]]: a +- i sqrt(-bc)
-        eigs[i:i + 2] += np.array([1j, -1j]) * math.sqrt(-t[i, i + 1] * t[i + 1, i])
+    if not np.isfinite(ham).all():
+        raise ValueError("array must not contain infs or NaNs")
+    t, sdim, wr, wi, z, _, info = _gees(lambda re, im: re < 0.0, ham,
+                                        lwork=_gees_lwork(2 * n), sort_t=1)
+    if info > 0:    # no Schur form, or reordering moved an eigenvalue across the axis
+        raise InfeasibleError(f"ordered Schur form failed (LAPACK gees info {info})",
+                              eigenvalues=np.linalg.eigvals(ham))
+    eigs = wr + 1j * wi
     scale = max(1.0, np.abs(eigs).max())
     near_axis = eigs[np.abs(eigs.real) <= imag_tol * scale]
     if near_axis.size > 0:
@@ -186,15 +185,17 @@ def _gees_lwork(n: int) -> int:
 
 
 def _schur_abscissa(a: np.ndarray):
-    """Real Schur form A = Z T Z' and max Re eig(A), read from diag(T): LAPACK
-    gives each 2x2 block of T equal diagonal entries, its pair's real part.
-    One `gees` call, with scipy.linalg.schur's workspace and checks."""
+    """Real Schur forms A = Z T Z' of a matrix or of each in a stack, and max Re eig(A),
+    read from diag(T): LAPACK gives each 2x2 block of T equal diagonal entries, its
+    pair's real part.  One `gees` call an entry, with scipy.linalg.schur's workspace."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    t, _, _, _, z, _, info = _gees(lambda x: None, a, lwork=_gees_lwork(len(a)))
-    if info > 0:
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    return t, z, float(np.diag(t).max())
+    (t, z), lwork = np.empty((2, *a.shape)), _gees_lwork(a.shape[-1])
+    for i in np.ndindex(a.shape[:-2]):
+        t[i], _, _, _, z[i], _, info = _gees(lambda x: None, a[i], lwork=lwork)
+        if info > 0:
+            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t, z, np.diagonal(t, axis1=-2, axis2=-1).max(axis=-1)
 
 
 def _lyap_schur(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -207,13 +208,13 @@ def _lyap_schur(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.swapaxes(1, 2))
 
 
-def _lyapunov_stack(a: np.ndarray, w: np.ndarray):
-    """Max Re eig of each A in the stack `a`, and the stack of P with A P + P A' + W = 0
-    for its Hurwitz entries: per entry only the `gees` call and, in `_lyap_schur`, `trsyl`.
+def _lyapunov_stack(a: np.ndarray, w: np.ndarray, floor: float = -np.inf):
+    """Max Re eig of each A in the stack `a`, raised to `floor` (the abscissa of any
+    block the caller split off), and the stack of P with A P + P A' + W = 0 for the
+    entries where that is negative: per entry only `gees` and `trsyl` run.
     Raises NumericalError when a residual exceeds the accepted threshold."""
-    abscissa, (t, z) = np.empty(len(a)), np.empty((2, *a.shape))
-    for i, ai in enumerate(a):
-        t[i], z[i], abscissa[i] = _schur_abscissa(ai)
+    t, z, abscissa = _schur_abscissa(a)
+    abscissa = np.maximum(abscissa, floor)
     a, t, z = (m[abscissa < 0] for m in (a, t, z))
     p = _lyap_schur(t, z, w)
     r = a @ p                   # P is symmetric, so P A' = (A P)'

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -17,6 +19,7 @@ from rflsmooth.numkernel import solve_lyapunov
 from rflsmooth.sim import sample_linear_loop
 from rflsmooth.synthesis import ScalingPoint, compute_gains
 
+from conftest import random_hurwitz
 from test_numkernel import lyap_kron_oracle
 from test_synthesis import generated_case, into_lmi_set, stable_case
 
@@ -70,13 +73,14 @@ def test_covariance_psd_and_scalar(nominal_loop):
 
 
 def test_zero_lag_collapses_to_static_form(nominal_loop, paper_compact):
+    """P and Phi cover the solved states [x; x^]: nbar + n of them."""
     rep = smoothed_error_covariance(nominal_loop, lag=0.0)
-    n = paper_compact.n
-    cw = np.hstack([paper_compact.aug.Cp0, np.zeros((1, n))])
-    ca = np.hstack([np.zeros((1, n)), paper_compact.aug.Ca])
+    nbar, n = paper_compact.plant.nbar, paper_compact.n
+    cw = np.hstack([paper_compact.plant.C0, np.zeros((1, n))])
+    ca = np.hstack([np.zeros((1, nbar)), paper_compact.aug.Ca])
     direct = (cw - ca) @ rep.P @ (cw - ca).T
     np.testing.assert_allclose(rep.Psa, direct, rtol=1e-10)
-    np.testing.assert_allclose(rep.Phi, np.eye(2 * n), atol=1e-12)
+    np.testing.assert_allclose(rep.Phi, np.eye(nbar + n), atol=1e-12)
 
 
 def test_unstable_loop_raises(paper_compact, paper_solution):
@@ -161,21 +165,58 @@ def test_lyapunov_matches_kronecker_oracle_on_closed_loops(params, reference_poi
 
 def test_sweep_point_is_one_schur_form(monkeypatch, paper_compact, paper_solution):
     """Each sweep point decides stability and solves its Lyapunov equation
-    from one real Schur form, and one expm call serves the whole sweep; no
-    eigenvalue call is made and SciPy's schur wrapper is not used."""
-    calls = {"_schur_abscissa": 0, "expm": 0, "schur": 0, "eigvals": 0}
-    for module, name in ((numkernel, "_schur_abscissa"), (covariance, "expm"),
+    from one real Schur form, one more Schur form gives Fa's share of every
+    point's flag, and one expm call serves the whole sweep; no eigenvalue call
+    is made and SciPy's schur wrapper is not used.  `gees` workspace queries,
+    made once per size, are not counted."""
+    calls = {"_gees": 0, "expm": 0, "schur": 0, "eigvals": 0}
+    for module, name in ((numkernel, "_gees"), (covariance, "expm"),
                          (sla, "schur"), (np.linalg, "eigvals")):
         fn = getattr(module, name)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
-            calls[_name] += 1
+            calls[_name] += kwargs.get("lwork") != -1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     rows = delta_sweep(paper_compact, paper_solution, np.linspace(-1, 0, 7))
     assert all(r.hurwitz for r in rows)
-    assert calls == {"_schur_abscissa": 7, "expm": 1, "schur": 0, "eigvals": 0}
+    assert calls == {"_gees": 7 + 1, "expm": 1, "schur": 0, "eigvals": 0}
+
+
+def test_solve_covers_plant_and_estimator_states_only(monkeypatch, params, reference_point):
+    """At balanced Pade order 6 the loop has 2n = 14 states, but the plant's
+    delay states are not solved for: each Lyapunov entry is 8 x 8."""
+    compact = phase_estimation_compact(params, order=6, realization="balanced")
+    sol = compute_gains(compact, reference_point)
+    shapes, stack = [], covariance._lyapunov_stack
+
+    def recorded(a, *args):
+        shapes.append(a.shape)
+        return stack(a, *args)
+
+    monkeypatch.setattr(covariance, "_lyapunov_stack", recorded)
+    rows = delta_sweep(compact, sol, np.linspace(-1.0, 0.0, 5))
+    rep = smoothed_error_covariance(build_closed_loop(compact, sol))
+    assert all(r.hurwitz for r in rows) and shapes == [(5, 8, 8), (1, 8, 8)]
+    assert rep.P.shape == rep.Phi.shape == (8, 8)
+
+
+def test_unstable_delay_model_flags_every_row(paper_compact, paper_solution):
+    """A delay model with an eigenvalue of Fa in the right half plane makes
+    every loop non-Hurwitz, although the plant and estimator block, which is
+    the one solved, is that of its stable twin."""
+    dly = paper_compact.aug.delay
+    unstable = dataclasses.replace(dly, fa=-dly.fa)
+    assert np.linalg.eigvals(unstable.fa).real.max() > 0
+    compact = build_compact(augment_with_delay(paper_compact.plant, unstable))
+    rows = delta_sweep(compact, paper_solution, np.linspace(-1.0, 0.0, 5))
+    assert not any(r.hurwitz for r in rows)
+    assert all(np.isnan(r.psa) and np.isnan(r.pf) for r in rows)
+    loop = build_closed_loop(compact, paper_solution)
+    assert not loop.is_hurwitz()
+    with pytest.raises(StationarityError):
+        smoothed_error_covariance(loop)
 
 
 def _oracle_levels(compact, sol, loop):
@@ -233,6 +274,60 @@ def test_stacking_does_not_change_a_rows_bits():
                     assert abs(row.psa - psa) <= 1e-8 * scale, (seed, tau, d1, row)
                     assert abs(row.pf - pf) <= 1e-8 * scale, (seed, tau, d1, row)
     assert len(classes) == 9 and orders == set(range(7)) and unstable > 0
+
+
+def _realization_case(seed, realization, kg=None, **shape):
+    """A stable plant and its lambda drawn from `seed` as `stable_case` draws
+    them (of the class kg if given), behind an order-2 Pade delay in
+    `realization`.  The delay is drawn from 2-5 us: the power-of-two form is
+    scaled for delays of a few microseconds, like the example's 3.1 us."""
+    rng = np.random.default_rng(seed)
+    k, g = kg or tuple(int(rng.integers(0, 3)) for _ in range(2))
+    beta = tuple(rng.uniform(0.5, 2.0, g))
+    delay = pade_delay(2, rng.uniform(2e-6, 5e-6), realization)
+    compact, lam = generated_case(rng, k, g, beta, random_hurwitz(rng, 2), delay, **shape)
+    return compact, into_lmi_set(compact, lam, rng.uniform(0.1, 1.2))
+
+
+def test_realization_changes_neither_bound_nor_sweep():
+    """On generated plants of every (k, g) class, wherever synthesis succeeds
+    in both the paper and the balanced realization of the delay, V and every
+    sweep row agree within 1e-8 of the size of the terms they are formed from
+    (V's are of one sign).  The (1, 0) and (0, 1) classes come from plants
+    with a two-wide uncertainty channel or with no physical measurement, as
+    in `test_stacking_does_not_change_a_rows_bits`."""
+    grid = np.linspace(-1.0, 0.0, 6)
+    draws = [(seed, None, {}) for seed in range(300)]
+    draws += [(seed, (1, 0), {"width": 2}) for seed in range(10)]
+    draws += [(seed, (0, 1), {"l": 0}) for seed in range(10)]
+    draws += [(seed, (2, 2), {}) for seed in range(30)]
+    classes, pairs = set(), 0
+    for seed, kg, shape in draws:
+        found = []
+        for realization in ("paper", "balanced"):
+            compact, lam = _realization_case(seed, realization, kg, **shape)
+            for tau in (1.0, 100.0):
+                try:
+                    sol = compute_gains(compact, ScalingPoint(lam=lam, tau=tau))
+                except ToolkitError:
+                    found.append(None)
+                    continue
+                rows = delta_sweep(compact, sol, grid)
+                scales = [_oracle_levels(compact, sol, build_closed_loop(compact, sol, delta2=r.delta2))[2]
+                          if r.hurwitz else np.nan for r in rows]
+                found.append((sol.Vtau, rows, scales))
+        for paper, balanced in zip(found[:2], found[2:]):
+            if paper is None or balanced is None:
+                continue
+            pairs += 1
+            classes.add((compact.k, compact.g))
+            assert abs(paper[0] - balanced[0]) <= 1e-8 * abs(balanced[0]), seed
+            for p, b, scale in zip(paper[1], balanced[1], balanced[2]):
+                assert p.hurwitz == b.hurwitz, (seed, b)
+                if b.hurwitz:
+                    assert abs(p.psa - b.psa) <= 1e-8 * scale, (seed, b)
+                    assert abs(p.pf - b.pf) <= 1e-8 * scale, (seed, b)
+    assert len(classes) == 9 and pairs > 100, (classes, pairs)
 
 
 def test_rectangular_uncertainty_channel():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from rflsmooth import numkernel
 from rflsmooth.errors import InfeasibleError, StationarityError
 from rflsmooth.numkernel import (
     RiccatiProblem,
@@ -53,6 +54,33 @@ def random_lqr_problem(rng, n):
     return RiccatiProblem(a=a, q=c.T @ c, s=-b @ b.T)
 
 
+def ordered_schur_calls(monkeypatch):
+    """Record the input and output of each sorting `gees` call."""
+    calls, gees = [], numkernel._gees
+
+    def recorded(select, a, **kwargs):
+        out = gees(select, a, **kwargs)
+        if kwargs.get("sort_t") == 1:
+            calls.append((np.array(a), out))
+        return out
+
+    monkeypatch.setattr(numkernel, "_gees", recorded)
+    return calls
+
+
+def assert_schurs_bits(calls):
+    """Each recorded ordered form has the T, Z and sdim of
+    scipy.linalg.schur(sort="lhp") bit for bit, and fails where it fails."""
+    for ham, (t, sdim, _, _, z, _, info) in calls:
+        try:
+            ts, zs, sdims = sla.schur(ham, sort="lhp")
+        except np.linalg.LinAlgError:
+            assert info > 0
+            continue
+        assert info == 0 and sdim == sdims
+        assert np.array_equal(t, ts) and np.array_equal(z, zs)
+
+
 class TestCare:
     def test_scalar_pure_quadratic(self):
         sol = solve_care(RiccatiProblem(a=[[0.0]], q=[[1.0]], s=[[-1.0]]))
@@ -95,6 +123,30 @@ class TestCare:
             solve_care(RiccatiProblem(a=[[0.0]], q=[[1.0]], s=[[0.0]]))
         assert err.value.eigenvalues is not None
 
+    def test_ordered_schur_has_schurs_bits(self, monkeypatch):
+        """On 1,000 random Hamiltonians, n = 1..8, with and without a
+        stabilizing solution, the direct sorting `gees` call gives
+        scipy.linalg.schur's bits; where it fails, solve_care raises
+        InfeasibleError with the Hamiltonian's eigenvalues."""
+        rng = np.random.default_rng(8)
+        calls, outcomes = ordered_schur_calls(monkeypatch), set()
+        for i in range(1000):
+            n = 1 + i % 8
+            q, s = (m + m.T for m in rng.standard_normal((2, n, n)))
+            prob = RiccatiProblem(a=rng.standard_normal((n, n)), q=q, s=s)
+            try:
+                solve_care(prob)
+                outcomes.add("solved")
+            except InfeasibleError as err:
+                assert len(err.eigenvalues)
+                outcomes.add("failed" if calls[-1][1][-1] > 0 else "infeasible")
+        assert len(calls) == 1000 and outcomes == {"solved", "infeasible", "failed"}
+        assert_schurs_bits(calls)
+
+    def test_non_finite_hamiltonian_rejected(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_care(RiccatiProblem(a=[[np.nan]], q=[[1.0]], s=[[-1.0]]))
+
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError):
             RiccatiProblem(a=np.eye(2), q=np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -113,22 +165,23 @@ class TestCare:
             np.testing.assert_allclose(x, oracle, rtol=1e-8, atol=1e-10 * np.linalg.norm(oracle))
 
     def test_solve_is_one_schur_form(self, monkeypatch):
-        """The ordered Schur form of the Hamiltonian gives both the solution
-        and the imaginary-axis test; no eigenvalue call is made."""
+        """The ordered Schur form of the Hamiltonian, one sorting `gees` call,
+        gives both the solution and the imaginary-axis test; no eigenvalue
+        call is made and SciPy's schur wrapper is not used."""
         rng = np.random.default_rng(5)
         problems = [random_lqr_problem(rng, 4) for _ in range(4)]
-        calls = {"schur": 0, "eigvals": 0}
-        for module, name in ((sla, "schur"), (np.linalg, "eigvals")):
+        calls = {"_gees": 0, "schur": 0, "eigvals": 0}
+        for module, name in ((numkernel, "_gees"), (sla, "schur"), (np.linalg, "eigvals")):
             fn = getattr(module, name)
 
             def counted(*args, _name=name, _fn=fn, **kwargs):
-                calls[_name] += 1
+                calls[_name] += _name != "_gees" or kwargs.get("sort_t") == 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         for prob in problems:
             solve_care(prob)
-        assert calls == {"schur": 4, "eigvals": 0}
+        assert calls == {"_gees": 4, "schur": 0, "eigvals": 0}
 
     def test_residual_helper(self):
         prob = RiccatiProblem(a=[[-1.0]], q=[[2.0]], s=[[0.0]])

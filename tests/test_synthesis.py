@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hurwitz
+from test_numkernel import assert_schurs_bits, ordered_schur_calls
 from rflsmooth import synthesis
 from rflsmooth.config import bundled_example_path, compact_from_config, load_config
 from rflsmooth.covariance import delta_sweep
@@ -614,6 +615,22 @@ def stable_case(seed, kg=None, **shape):
     delay = pade_delay(order, rng.uniform(0.1, 1.0)) if order else identity_delay(1)
     compact, lam = generated_case(rng, k, g, beta, random_hurwitz(rng, 2), delay, **shape)
     return compact, into_lmi_set(compact, lam, rng.uniform(0.1, 1.2))
+
+
+def test_ordered_schur_bits_on_generated_plants(monkeypatch):
+    """The filter and cost Hamiltonians of generated plants of every (k, g)
+    class behind every delay order get scipy.linalg.schur's ordered form bit
+    for bit, from the direct sorting `gees` call."""
+    calls = ordered_schur_calls(monkeypatch)
+    for seed in range(200):
+        compact, lam = stable_case(seed)
+        for tau in (1.0, 100.0):
+            try:
+                compute_gains(compact, ScalingPoint(lam=lam, tau=tau))
+            except ToolkitError:
+                continue
+    assert len(calls) > 300
+    assert_schurs_bits(calls)
 
 
 class TestGeneratedPlantFailures:
