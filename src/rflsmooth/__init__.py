@@ -30,7 +30,6 @@ from .numkernel import (
     CareSolution,
     RiccatiProblem,
     expm,
-    is_hurwitz,
     solve_care,
     solve_lyapunov,
     spectral_radius,
@@ -61,7 +60,7 @@ __all__ = [
     "UncertainPlant", "AugmentedPlant", "CompactPlant",
     "validate_plant", "augment_with_delay", "build_compact",
     "RiccatiProblem", "CareSolution", "solve_care", "solve_lyapunov",
-    "expm", "spectral_radius", "is_hurwitz",
+    "expm", "spectral_radius",
     "ScalingPoint", "MultiplierPair", "SynthesisSolution",
     "assemble_multipliers", "feasible", "compute_gains", "minimize_bound",
     "ClosedLoopModel", "CovarianceReport", "build_closed_loop",

@@ -32,7 +32,7 @@ from .config import (
     scaling_from_config,
     sim_from_config,
 )
-from .covariance import SweepRow, delta_sweep, write_sweep_csv
+from .covariance import delta_sweep, write_sweep_csv
 from .errors import ConfigError, InfeasibleError, NumericalError, StationarityError
 from .reproduce import format_report, run_reproduction
 from .sim import monte_carlo
@@ -168,7 +168,7 @@ def cmd_reproduce(args) -> int:
     synth_path = out_dir / "synthesis.json"
     synth_path.write_text(solution_to_json(sol), encoding="utf-8")
     sweep_path = out_dir / "sweep.csv"
-    write_sweep_csv([SweepRow(*r) for r in sweep_rows], sweep_path)
+    write_sweep_csv(sweep_rows, sweep_path)
     _write_manifest(out_dir, "reproduce-paper", "<builtin>", args.seed,
                     [report_path, synth_path, sweep_path])
     report["solution"] = sol

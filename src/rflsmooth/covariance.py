@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import StationarityError
 from .model import CompactPlant
-from .numkernel import _lyapunov_stack, _schur_abscissa, expm, is_hurwitz
+from .numkernel import _lyapunov_stack, _schur_abscissa, expm
 from .synthesis import SynthesisSolution
 
 __all__ = ["ClosedLoopModel", "CovarianceReport", "SweepRow", "build_closed_loop",
@@ -31,7 +31,7 @@ class ClosedLoopModel:
     delta2: float = 0.0
 
     def is_hurwitz(self) -> bool:
-        return is_hurwitz(self.Abold)
+        return bool(_schur_abscissa(self.Abold)[2] < 0)
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,16 @@ class CovarianceReport:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """A sweep point; Psa and Pf are NaN where the abscissa, max Re eig, is >= 0."""
+
     delta2: float
     psa: float
     pf: float
-    hurwitz: bool
+    abscissa: float
+
+    @property
+    def hurwitz(self) -> bool:
+        return self.abscissa < 0
 
 
 def _loops(compact: CompactPlant, sol: SynthesisSolution, delta1: float, delta2: np.ndarray):
@@ -154,11 +160,10 @@ def delta_sweep(compact: CompactPlant, sol: SynthesisSolution, grid,
     abold, bbold, _ = _loops(compact, sol, delta1, grid)
     abscissa, _, _, psa, pf = _covariances(compact, sol, abold, bbold,
                                            compact.aug.delay.delta)
-    stable = abscissa < 0
     psa_col, pf_col = np.full((2, len(grid)), np.nan)
-    psa_col[stable], pf_col[stable] = psa[:, 0, 0], pf[:, 0, 0]
+    psa_col[abscissa < 0], pf_col[abscissa < 0] = psa[:, 0, 0], pf[:, 0, 0]
     return [SweepRow(*row) for row in zip(grid.tolist(), psa_col.tolist(),
-                                           pf_col.tolist(), stable.tolist())]
+                                           pf_col.tolist(), abscissa.tolist())]
 
 
 def write_sweep_csv(rows: list[SweepRow], path, filter_output: str = "estimator-output-row") -> None:

@@ -33,7 +33,6 @@ __all__ = [
     "solve_lyapunov",
     "expm",
     "spectral_radius",
-    "is_hurwitz",
 ]
 
 _SYM_TOL = 1e-12
@@ -118,9 +117,10 @@ def _hamiltonian_schur(prob: RiccatiProblem, imag_tol: float):
             f"stable invariant subspace has dimension {sdim}, expected {n}",
             eigenvalues=eigs,
         )
-    u1 = z[:n, :n]
-    u2 = z[n:, :n]
-    x = np.linalg.solve(u1.T, u2.T).T
+    try:                # U1 singular: the stable subspace is the graph of no X
+        x = np.linalg.solve(z[:n, :n].T, z[n:, :n].T).T
+    except np.linalg.LinAlgError:
+        raise InfeasibleError("stable subspace has a singular U1 block", eigenvalues=eigs) from None
     return 0.5 * (x + x.T)
 
 
@@ -194,7 +194,7 @@ def _schur_abscissa(a: np.ndarray):
     for i in np.ndindex(a.shape[:-2]):
         t[i], _, _, _, z[i], _, info = _gees(lambda x: None, a[i], lwork=lwork)
         if info > 0:
-            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+            raise NumericalError(f"Schur form not found (LAPACK gees info {info})")
     return t, z, np.diagonal(t, axis1=-2, axis2=-1).max(axis=-1)
 
 
@@ -258,11 +258,3 @@ def spectral_radius(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.abs(np.linalg.eigvals(m)).max())
-
-
-def is_hurwitz(a: np.ndarray, tol: float = 0.0) -> bool:
-    """True when every eigenvalue of A has real part < -tol."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return True
-    return bool(np.linalg.eigvals(a).real.max() < -tol)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rflsmooth import covariance, numkernel
+from rflsmooth import cli, covariance, numkernel, reproduce
 from rflsmooth.covariance import (
+    SweepRow,
     build_closed_loop,
     delta_sweep,
     smoothed_error_covariance,
@@ -184,6 +185,48 @@ def test_sweep_point_is_one_schur_form(monkeypatch, paper_compact, paper_solutio
     assert calls == {"_gees": 7 + 1, "expm": 1, "schur": 0, "eigvals": 0}
 
 
+@pytest.mark.parametrize("realization", ["paper", "balanced"])
+def test_reproduction_reads_its_own_sweep(monkeypatch, realization):
+    """reproduce-paper takes both loop flags and the nominal levels from its
+    one sweep: one Lyapunov stack, one expm call and one loop stack (a loop
+    build or a single-loop covariance would add to these), and one eigenvalue
+    call, rho(YX)'s."""
+    calls = {"eigvals": 0, "_lyapunov_stack": 0, "expm": 0, "_loops": 0}
+    for module, name in ((np.linalg, "eigvals"), (covariance, "_lyapunov_stack"),
+                         (covariance, "expm"), (covariance, "_loops")):
+        fn = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    report = reproduce.run_reproduction(realization=realization)
+    assert report["passed"]
+    assert calls == {"eigvals": 1, "_lyapunov_stack": 1, "expm": 1, "_loops": 1}
+    nominal = report["sweep"][-1]
+    assert nominal.delta2 == 0.0 and report["sweep"][0].delta2 == -1.0
+    assert (report["nominal_Psa"], report["nominal_Pf"]) == (nominal.psa, nominal.pf)
+
+
+def test_unstable_nominal_loop_writes_no_report(monkeypatch, tmp_path):
+    """A sweep whose delta2 = 0 row is not Hurwitz ends reproduce-paper with a
+    StationarityError, the exit status of an unstable loop, and no artifact
+    with NaN levels."""
+    sweep = reproduce.delta_sweep
+
+    def unstable_nominal(*args):
+        rows = sweep(*args)
+        return rows[:-1] + [SweepRow(0.0, float("nan"), float("nan"), 0.5)]
+
+    monkeypatch.setattr(reproduce, "delta_sweep", unstable_nominal)
+    with pytest.raises(StationarityError, match="max Re eig = 0.5"):
+        reproduce.run_reproduction()
+    out = tmp_path / "rep"
+    assert cli.main(["reproduce-paper", "--out-dir", str(out)]) == cli.EXIT_UNSTABLE
+    assert not (out / "reproduction.json").exists()
+
+
 def test_solve_covers_plant_and_estimator_states_only(monkeypatch, params, reference_point):
     """At balanced Pade order 6 the loop has 2n = 14 states, but the plant's
     delay states are not solved for: each Lyapunov entry is 8 x 8."""
@@ -236,9 +279,10 @@ def _oracle_levels(compact, sol, loop):
 def test_stacking_does_not_change_a_rows_bits():
     """On generated plants of every (k, g) class behind every delay order,
     each row of a stacked sweep has the bits of a one-point sweep and of the
-    single-loop path, its flag agrees with the eigenvalues, and a stable row
-    agrees with SciPy's Lyapunov solver and expm; the single-loop report gives
-    the row's delta2, also where g = 0 and Delta holds no entry of it.
+    single-loop path, its abscissa and flag agree with the eigenvalues, and a
+    stable row agrees with SciPy's Lyapunov solver and expm; the single-loop
+    report gives the row's delta2, also where g = 0 and Delta holds no entry
+    of it.
     `stable_case`'s (1, 0) and (0, 1) plants have a square feedthrough D, so
     no filter noise and no certified point; those classes come from plants
     with a two-wide uncertainty channel or with no physical measurement."""
@@ -259,7 +303,9 @@ def test_stacking_does_not_change_a_rows_bits():
                 for row in delta_sweep(compact, sol, grid, delta1=d1):
                     assert repr(delta_sweep(compact, sol, [row.delta2], delta1=d1)) == repr([row])
                     loop = build_closed_loop(compact, sol, delta1=d1, delta2=row.delta2)
-                    eig = np.linalg.eigvals(loop.Abold).real.max()
+                    eigs = np.linalg.eigvals(loop.Abold)
+                    eig = eigs.real.max()
+                    assert abs(row.abscissa - eig) <= 1e-12 * max(1.0, np.abs(eigs).max())
                     if abs(eig) > 1e-12:
                         assert row.hurwitz == (eig < 0), (seed, tau, d1, row)
                     if not row.hurwitz:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from rflsmooth import numkernel
-from rflsmooth.errors import InfeasibleError, StationarityError
+from rflsmooth.errors import InfeasibleError, NumericalError, StationarityError
 from rflsmooth.numkernel import (
     RiccatiProblem,
     _lyap_schur,
@@ -13,7 +13,6 @@ from rflsmooth.numkernel import (
     care_residual,
     care_sensitivity,
     expm,
-    is_hurwitz,
     solve_care,
     solve_lyapunov,
     spectral_radius,
@@ -122,6 +121,13 @@ class TestCare:
         with pytest.raises(InfeasibleError) as err:
             solve_care(RiccatiProblem(a=[[0.0]], q=[[1.0]], s=[[0.0]]))
         assert err.value.eigenvalues is not None
+
+    def test_singular_subspace_basis_infeasible(self):
+        """A = 1, Q = S = 0: the stable subspace is the costate axis, its X block
+        is zero, so no stabilizing solution is a graph over it."""
+        with pytest.raises(InfeasibleError) as err:
+            solve_care(RiccatiProblem(a=[[1.0]], q=[[0.0]], s=[[0.0]]))
+        assert sorted(err.value.eigenvalues.real) == [-1.0, 1.0]
 
     def test_ordered_schur_has_schurs_bits(self, monkeypatch):
         """On 1,000 random Hamiltonians, n = 1..8, with and without a
@@ -237,6 +243,19 @@ class TestLyapunov:
         with pytest.raises(StationarityError, match="max Re eig"):
             solve_lyapunov(a, np.eye(2))
 
+    def test_schur_failure_is_numerical_error(self, monkeypatch):
+        """LAPACK `gees` reporting no Schur form (info > 0) surfaces as the
+        toolkit's NumericalError, not a bare LinAlgError."""
+        gees = numkernel._gees
+
+        def failing(select, a, **kwargs):
+            out = gees(select, a, **kwargs)
+            return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+
+        monkeypatch.setattr(numkernel, "_gees", failing)
+        with pytest.raises(NumericalError, match="info 1"):
+            solve_lyapunov(-np.eye(3), np.eye(3))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("which", ["A", "W"])
     def test_non_finite_input_raises(self, which, bad):
@@ -328,8 +347,3 @@ class TestSpectralRadius:
     def test_empty(self):
         assert spectral_radius(np.zeros((0, 0))) == 0.0
 
-
-def test_is_hurwitz():
-    assert is_hurwitz([[-1.0]])
-    assert not is_hurwitz([[1.0]])
-    assert is_hurwitz(np.zeros((0, 0)))
