@@ -108,16 +108,16 @@ def _covariances(compact: CompactPlant, sol: SynthesisSolution, abold: np.ndarra
     """Max Re eig of each loop in the stack `abold`, and P, Phi, Psa and Pf of its Hurwitz
     entries over the states [x; x^], from one Schur form each and one expm call.  The
     plant's delay states enter no other state and no readout, so the loop's eigenvalues
-    are Fa's and the [x; x^] block's, solved in reverse order: the estimator's fast delay
-    states lead, and LAPACK's Schur form keeps more digits of a matrix graded downward."""
+    are Fa's (the delay model's abscissa) and the [x; x^] block's, solved in reverse
+    order: the estimator's fast delay states lead, and LAPACK's Schur form keeps more
+    digits of a matrix graded downward."""
     nbar, n, m = compact.plant.nbar, compact.n, compact.m
     keep = np.r_[:nbar, n:2 * n][::-1]
-    floor = _schur_abscissa(compact.aug.delay.fa)[2] if compact.aug.na else -np.inf
     cw = np.hstack([compact.plant.C0, np.zeros((m, n))])
     ca = np.hstack([np.zeros((m, nbar)), compact.aug.Ca])
     cw, ca, cf = (c[:, ::-1] for c in (cw, ca, cw - np.hstack([np.zeros((m, nbar)), sol.Cc])))
     abold, bbold = abold[:, keep[:, None], keep], bbold[keep]
-    abscissa, p = _lyapunov_stack(abold, bbold @ bbold.T, floor)
+    abscissa, p = _lyapunov_stack(abold, bbold @ bbold.T, compact.aug.delay.abscissa)
     phi = expm(abold[abscissa < 0], lag)
     cross = ca @ phi @ p @ cw.T
     psa = cw @ p @ cw.T - cross - cross.swapaxes(1, 2) + ca @ p @ ca.T

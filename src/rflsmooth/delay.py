@@ -3,13 +3,15 @@
 The workhorse is the diagonal [n/n] Pade approximant, which is all-pass and
 Hurwitz for every order, realized in a magnitude-balanced companion form.
 A second realization reproduces, entry for entry, the power-of-two scaled
-companion form used by common control toolboxes (subdiagonal 2^20, input
-gain 2^11 for the second-order case), which is the form the bundled
-phase-estimation example is stated in.
+companion form used by common control toolboxes, which is the form the
+bundled phase-estimation example is stated in.  Its second-order scalings
+are the powers of two nearest sqrt(12)/delta (subdiagonal) and
+sqrt(12/delta) (input gain): 2^20 and 2^11 at the example's 3.1 us.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,12 @@ class DelayModel:
     @property
     def m(self) -> int:
         return self.ja.shape[0]
+
+    @functools.cached_property
+    def abscissa(self) -> float:
+        """Max Re eig of Fa (-inf without states), from one real Schur form per model."""
+        from .numkernel import _schur_abscissa  # at module level it slowed start-up ~10 ms
+        return _schur_abscissa(self.fa)[2] if self.na else -np.inf
 
     def dc_gain(self) -> np.ndarray:
         """Ha (-Fa)^-1 Ga + Ja; equals identity for a true delay."""
@@ -123,14 +131,15 @@ def pade_delay(order: int, delta: float, realization: str = "balanced") -> Delay
     realization="balanced" scales the companion states geometrically so all
     entries have comparable magnitude.  realization="paper" reproduces the
     published power-of-two scaled form of the second-order model (it is only
-    defined for order 2).
+    defined for order 2), its scalings chosen from delta so that the form's
+    entries stay balanced at any delay.
     """
     num, den = pade_coefficients(order, delta)
     if realization == "paper":
         if order != 2:
             raise ValueError("paper realization is defined for order 2 only")
         a1, a0 = den[1], den[2]               # 6/delta, 12/delta^2
-        s_sub, s_in = 2.0 ** 20, 2.0 ** 11
+        s_sub, s_in = (2.0 ** round(np.log2(np.sqrt(x))) for x in (a0, 2.0 * a1))
         fa = np.array([[-a1, -a0 / s_sub], [s_sub, 0.0]])
         ga = np.array([[s_in], [0.0]])
         ha = np.array([[-2.0 * a1 / s_in, 0.0]])

@@ -11,6 +11,12 @@ Newton-Kleinman iterations.  Lyapunov equations are solved by Bartels-Stewart:
 one real Schur form, by a direct LAPACK `gees` call, gives the Hurwitz test
 and a triangular Sylvester solve.  The sensitivity of a Riccati solution is
 such a Lyapunov equation in its closed loop.
+
+The matrix exponential works on a stack: scaling and squaring of a diagonal
+Pade approximant, with each entry's degree m and squarings s chosen by Al-Mohy
+and Higham's rule (2009), as SciPy chooses them, from exact 1-norms of the
+powers the approximant needs anyway.  Entries that share (m, s) share every
+NumPy product, one stacked solve and the squarings.
 """
 
 from __future__ import annotations
@@ -38,6 +44,37 @@ __all__ = [
 _SYM_TOL = 1e-12
 _trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
 _gees = sla.get_lapack_funcs("gees", dtype=np.float64)
+# Al-Mohy & Higham (2009), Algorithm 6.1: the Pade degrees m, the largest eta at which
+# each needs no scaling (theta_m), and 1/|c_(2m+1)| of the backward-error bound ell(m).
+_DEGREES = np.array([3, 5, 7, 9, 13])
+_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                   2.097847961257068, 4.25])
+_ELL_C = np.array([100800.0, 10059033600.0, 4487938430976000.0, 5914384781877411840000.0,
+                   113250775606021113483283660800000000.0])
+
+
+def _pade_rows(b: tuple) -> np.ndarray:
+    """Pade coefficients b_0 ... b_m as rows of even polynomials over [I, A^2, A^4, ...],
+    stacked over each coefficient's power of A: row 0 is U's odd part (U = A times it),
+    row 1 is V.  Degree 13 splits both at A^6 (Higham 2005): rows 0 and 1 then hold
+    the terms that A^6 multiplies, rows 2 and 3 the rest."""
+    b, j = np.array(b), np.arange(len(b), dtype=float)
+    rows = np.array([[b[1::2], b[::2]], [j[1::2], j[::2]]])
+    if len(b) == 14:
+        rows = np.concatenate([np.concatenate([np.zeros((2, 2, 1)), rows[..., 4:]], 2),
+                               rows[..., :4]], 1)
+    return rows
+
+
+_PADE = {len(b) - 1: _pade_rows(b) for b in (
+    (120.0, 60.0, 12.0, 1.0),
+    (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0, 110880.0,
+     3960.0, 90.0, 1.0),
+    (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+     40840800.0, 960960.0, 16380.0, 182.0, 1.0))}
 
 
 @dataclass(frozen=True)
@@ -246,10 +283,83 @@ def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return p[0]
 
 
+def _rowmax(x: np.ndarray) -> np.ndarray:
+    """Largest entry along the last axis of a nonnegative array; the axis is moved
+    first and made contiguous, which NumPy reduces far faster than a short last axis."""
+    return np.ascontiguousarray(x.T).max(axis=0, initial=0.0).T
+
+
+def _pade_structure(a: np.ndarray, pw: np.ndarray):
+    """Pade degree m and squarings s of each entry of the stack `a` by Al-Mohy & Higham's
+    Algorithm 6.1, from the exact 1-norms of A^4 ... A^10 (`pw[2:]`) and of
+    |2^-s0 A|^(2m+1): s0 is the scaling those norms ask for, and ell(m) the squarings
+    that degree m's backward error adds."""
+    d = _rowmax(np.einsum("...ij->...j", np.abs(pw[2:]))) ** (1 / np.array([[4], [6], [8], [10]]))
+    eta = np.maximum(d[[0, 0, 1, 1]], d[[1, 1, 2, 2]])          # for m = 3, 5, 7, 9
+    with np.errstate(divide="ignore", invalid="ignore"):       # log2(0) and 0/0 read as ell 0
+        s = np.fmax(np.ceil(np.log2(np.minimum(eta[2], np.maximum(d[2], d[3])) / _THETA[-1])), 0)
+        absa = np.abs(a) * 2.0 ** -s[:, None, None]
+        b2 = absa @ absa
+        b4 = b2 @ b2
+        v = np.empty((8, len(a), 1, a.shape[-1]))               # 1'|A|^p, p = 1, 3, 7, ..., 27
+        np.einsum("kij->kj", absa, out=v[0, :, 0])
+        np.matmul(v[0], b2, out=v[1])
+        for i in range(2, 8):
+            np.matmul(v[i - 1], b4, out=v[i])
+        norm = _rowmax(v[:, :, 0])
+        ell = np.fmax(np.ceil(np.log2(norm[[2, 3, 4, 5, 7]] / (norm[0] * _ELL_C[:, None])
+                                      * 2.0 ** 53) / (2 * _DEGREES[:, None])), 0)
+    if not (np.isfinite(d).all() and np.isfinite(ell).all()):
+        raise NumericalError("matrix exponential out of range: the powers of A t overflow")
+    fits = (eta <= _THETA[:4, None]) & (ell[:4] == 0)
+    m = np.where(fits.any(axis=0), _DEGREES[fits.argmax(axis=0)], 13)
+    return m, np.where(m == 13, s + ell[4], 0).astype(int)
+
+
+def _pade(a: np.ndarray, pw: np.ndarray, m: int, s: int):
+    """U and V of the degree-m Pade approximant r_m(2^-s A) = (V - U)^-1 (V + U) of each
+    A in the stack `a`, from pw = [I, A^2, A^4, A^6, ...].  The scaling enters each b_j
+    as b_j 2^(-s j), which is exact, and one einsum sums every even polynomial."""
+    b, j = _PADE[m]
+    t = np.einsum("rj,j...->r...", b * 2.0 ** (-s * j), pw[:b.shape[1]])
+    if m == 13:
+        t = pw[3] @ t[:2] + t[2:]
+    return a @ t[0], t[1]
+
+
 def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^(A t) of a matrix or of each in a stack (scaling-and-squaring Pade, via SciPy)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    return sla.expm(a * t)
+    """e^(A t) of a matrix or of each in a stack, by scaling and squaring a Pade
+    approximant.  Each entry gets its own degree m and squarings s by Al-Mohy &
+    Higham's rule (SIAM J. Matrix Anal. Appl. 31, 2009), SciPy's, from exact 1-norms of
+    the powers of A t that the approximant uses anyway.  Entries with the same (m, s)
+    share every product, one stacked solve and the squarings, so no entry's bits depend
+    on the rest of the stack.  r_m = I + 2 (V - U)^-1 U keeps I out of the solve.
+    Raises ValueError for non-finite input and NumericalError when a Pade denominator
+    is singular or the powers of A t overflow."""
+    a = np.atleast_2d(np.asarray(a, dtype=float)) * t
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    shape, a = a.shape, a.reshape(-1, *a.shape[-2:])
+    eye = np.eye(a.shape[-1])
+    pw = np.empty((6, *a.shape))                                 # I, A^2, A^4, ..., A^10
+    pw[0] = eye
+    np.matmul(a, a, out=pw[1])
+    for i, (j, k) in enumerate(((1, 1), (2, 1), (2, 2), (2, 3)), 2):
+        np.matmul(pw[j], pw[k], out=pw[i])
+    m, s = _pade_structure(a, pw)
+    x = np.empty_like(a)
+    groups = sorted(set(zip(m.tolist(), s.tolist())))
+    for deg, sq in groups:
+        pick = (m == deg) & (s == sq) if len(groups) > 1 else slice(None)   # one: no gather
+        u, v = _pade(a[pick], pw[:5, pick], deg, sq)
+        try:
+            r = 2.0 * np.linalg.solve(v - u, u) + eye
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"singular Pade denominator (degree {deg})") from None
+        for _ in range(sq):
+            r = r @ r
+        x[pick] = r
+    return x.reshape(shape)
 
 
 def spectral_radius(m: np.ndarray) -> float:

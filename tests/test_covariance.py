@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +21,8 @@ from rflsmooth.numkernel import solve_lyapunov
 from rflsmooth.sim import sample_linear_loop
 from rflsmooth.synthesis import ScalingPoint, compute_gains
 
-from conftest import random_hurwitz
 from test_numkernel import lyap_kron_oracle
-from test_synthesis import generated_case, into_lmi_set, stable_case
+from test_synthesis import generated_case, into_lmi_set, realization_case, stable_case
 
 
 @pytest.fixture(scope="module")
@@ -164,12 +164,13 @@ def test_lyapunov_matches_kronecker_oracle_on_closed_loops(params, reference_poi
         assert err <= 1e-10 * np.linalg.norm(oracle), (order, d2)
 
 
-def test_sweep_point_is_one_schur_form(monkeypatch, paper_compact, paper_solution):
+def test_sweep_point_is_one_schur_form(monkeypatch, paper_solution):
     """Each sweep point decides stability and solves its Lyapunov equation
-    from one real Schur form, one more Schur form gives Fa's share of every
-    point's flag, and one expm call serves the whole sweep; no eigenvalue call
-    is made and SciPy's schur wrapper is not used.  `gees` workspace queries,
-    made once per size, are not counted."""
+    from one real Schur form, one more Schur form, taken once per delay
+    model, gives Fa's share of every point's flag, and one expm call serves
+    the whole sweep; no eigenvalue call is made and SciPy's schur wrapper is
+    not used.  `gees` workspace queries, made once per size, are not counted."""
+    compact = phase_estimation_compact(realization="paper")    # a delay model of its own
     calls = {"_gees": 0, "expm": 0, "schur": 0, "eigvals": 0}
     for module, name in ((numkernel, "_gees"), (covariance, "expm"),
                          (sla, "schur"), (np.linalg, "eigvals")):
@@ -180,9 +181,11 @@ def test_sweep_point_is_one_schur_form(monkeypatch, paper_compact, paper_solutio
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    rows = delta_sweep(paper_compact, paper_solution, np.linspace(-1, 0, 7))
+    rows = delta_sweep(compact, paper_solution, np.linspace(-1, 0, 7))
     assert all(r.hurwitz for r in rows)
     assert calls == {"_gees": 7 + 1, "expm": 1, "schur": 0, "eigvals": 0}
+    smoothed_error_covariance(build_closed_loop(compact, paper_solution))
+    assert calls == {"_gees": 7 + 1 + 1, "expm": 2, "schur": 0, "eigvals": 0}
 
 
 @pytest.mark.parametrize("realization", ["paper", "balanced"])
@@ -276,6 +279,59 @@ def _oracle_levels(compact, sol, loop):
     return terms[0] - 2 * terms[1] + terms[2], terms[3], np.abs(terms).sum()
 
 
+def _lag_loops(compact, sol, grid):
+    """A t for each loop whose lag transition e^(A t) a sweep takes."""
+    with mock.patch.object(covariance, "expm", wraps=numkernel.expm) as spy:
+        delta_sweep(compact, sol, grid)
+    a, t = spy.call_args.args
+    return a * t
+
+
+def test_lag_transition_against_40_digits(reference_point):
+    """The sweep's e^(A t) over [x; x^] against mpmath's 40-digit exponential,
+    the error taken relative in the Frobenius norm.  On the bundled example
+    (balanced Pade orders 1-6 and the paper realization, delta2 = -1, -0.5
+    and 0) each loop's error is at most twice SciPy's expm's, or 4e-16.  On
+    generated plants behind 0.1-1 s delays of orders 0-6 its median is at
+    most SciPy's, and it is within three times SciPy's, or 4e-16, at each
+    loop: there the ratio is rounding error amplified by up to four
+    squarings, which can favour either side by more than a factor two."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def errors(loops):
+        ours, scipys = numkernel.expm(loops), sla.expm(loops)
+        out = []
+        for a, x, y in zip(loops, ours, scipys):
+            with mpmath.workdps(40):
+                e = mpmath.expm(mpmath.matrix(a.tolist()))
+                ref = np.array(e.tolist(), dtype=float)
+            out.append([np.linalg.norm(z - ref) / np.linalg.norm(ref) for z in (x, y)])
+        return np.array(out).T
+
+    grid = [-1.0, -0.5, 0.0]
+    bundled = []
+    for order, realization in [(k, "balanced") for k in range(1, 7)] + [(2, "paper")]:
+        compact = phase_estimation_compact(order=order, realization=realization)
+        bundled.append(_lag_loops(compact, compute_gains(compact, reference_point), grid))
+    for loops in bundled:
+        ours, scipys = errors(loops)
+        assert len(loops) == 3 and np.all(ours <= np.maximum(2.0 * scipys, 4e-16)), (ours, scipys)
+    generated = []
+    for seed in range(60):
+        compact, lam = stable_case(seed)
+        for tau in (1.0, 100.0):
+            try:
+                sol = compute_gains(compact, ScalingPoint(lam=lam, tau=tau))
+            except ToolkitError:
+                continue
+            generated += list(_lag_loops(compact, sol, grid))
+    sizes = {len(a) for a in generated}
+    assert len(generated) > 50 and sizes == set(range(4, 10)), sizes
+    ours, scipys = np.concatenate([errors(np.array([a])) for a in generated], axis=1)
+    assert np.median(ours) <= np.median(scipys)
+    assert np.all(ours <= np.maximum(3.0 * scipys, 4e-16)), (ours / scipys).max()
+
+
 def test_stacking_does_not_change_a_rows_bits():
     """On generated plants of every (k, g) class behind every delay order,
     each row of a stacked sweep has the bits of a one-point sweep and of the
@@ -322,19 +378,6 @@ def test_stacking_does_not_change_a_rows_bits():
     assert len(classes) == 9 and orders == set(range(7)) and unstable > 0
 
 
-def _realization_case(seed, realization, kg=None, **shape):
-    """A stable plant and its lambda drawn from `seed` as `stable_case` draws
-    them (of the class kg if given), behind an order-2 Pade delay in
-    `realization`.  The delay is drawn from 2-5 us: the power-of-two form is
-    scaled for delays of a few microseconds, like the example's 3.1 us."""
-    rng = np.random.default_rng(seed)
-    k, g = kg or tuple(int(rng.integers(0, 3)) for _ in range(2))
-    beta = tuple(rng.uniform(0.5, 2.0, g))
-    delay = pade_delay(2, rng.uniform(2e-6, 5e-6), realization)
-    compact, lam = generated_case(rng, k, g, beta, random_hurwitz(rng, 2), delay, **shape)
-    return compact, into_lmi_set(compact, lam, rng.uniform(0.1, 1.2))
-
-
 def test_realization_changes_neither_bound_nor_sweep():
     """On generated plants of every (k, g) class, wherever synthesis succeeds
     in both the paper and the balanced realization of the delay, V and every
@@ -351,7 +394,7 @@ def test_realization_changes_neither_bound_nor_sweep():
     for seed, kg, shape in draws:
         found = []
         for realization in ("paper", "balanced"):
-            compact, lam = _realization_case(seed, realization, kg, **shape)
+            compact, lam = realization_case(seed, realization, kg, **shape)
             for tau in (1.0, 100.0):
                 try:
                     sol = compute_gains(compact, ScalingPoint(lam=lam, tau=tau))

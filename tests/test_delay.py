@@ -88,6 +88,34 @@ def test_paper_realization_printed_blocks():
     assert model.ja[0, 0] == 1.0
 
 
+def test_paper_realization_keeps_its_bits_at_the_example_delay():
+    """The scalings chosen from delta are 2^20 and 2^11 at 3.1 us, so the
+    published form is the one built with those constants, bit for bit."""
+    model = pade_delay(2, DELTA, realization="paper")
+    _, den = pade_coefficients(2, DELTA)
+    a1, a0 = den[1], den[2]
+    s_sub, s_in = 2.0 ** 20, 2.0 ** 11
+    assert np.array_equal(model.fa, [[-a1, -a0 / s_sub], [s_sub, 0.0]])
+    assert np.array_equal(model.ga, [[s_in], [0.0]])
+    assert np.array_equal(model.ha, [[-2.0 * a1 / s_in, 0.0]])
+    assert np.array_equal(model.ja, [[1.0]])
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.1, 1.0])
+def test_paper_realization_scaled_from_delta(delta):
+    """At any delay the power-of-two form's entries lie within a factor 2 of
+    the balanced magnitudes sqrt(12)/delta and sqrt(12/delta), and its
+    Markov parameters are the balanced form's."""
+    paper = pade_delay(2, delta, realization="paper")
+    balanced = pade_delay(2, delta, realization="balanced")
+    sub, gain = np.sqrt(12.0) / delta, np.sqrt(12.0 / delta)
+    for entry, size in ((paper.fa[1, 0], sub), (-paper.fa[0, 1], sub),
+                        (paper.ga[0, 0], gain), (-paper.ha[0, 0], gain)):
+        assert size / 2 <= entry <= 2 * size
+    for mp, mb in zip(paper.markov_parameters(5), balanced.markov_parameters(5)):
+        assert abs(mp[0, 0] - mb[0, 0]) <= 1e-12 * max(1.0, abs(mb[0, 0]))
+
+
 def test_identity_delay():
     model = identity_delay(1)
     assert model.na == 0

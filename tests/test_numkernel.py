@@ -304,12 +304,15 @@ class TestLyapunovStack:
 class TestExpm:
     def test_zero_time_identity(self):
         a = np.random.default_rng(0).standard_normal((4, 4))
-        np.testing.assert_allclose(expm(a, 0.0), np.eye(4))
+        assert np.array_equal(expm(a, 0.0), np.eye(4))
 
     def test_diagonal(self):
-        phi = expm(np.diag([-1.0, -2.0]), 1.0)
-        np.testing.assert_allclose(phi, np.diag([np.exp(-1.0), np.exp(-2.0)]),
-                                   rtol=1e-12)
+        """A diagonal matrix takes the general path: its exponential stays
+        diagonal, each entry within a few roundings of exp."""
+        d = np.array([-1.0, -2.0, 0.5, -30.0])
+        phi = expm(np.diag(d), 1.0)
+        assert np.array_equal(phi, np.diag(np.diag(phi)))
+        np.testing.assert_allclose(np.diag(phi), np.exp(d), rtol=2e-14, atol=0.0)
 
     def test_semigroup(self):
         rng = np.random.default_rng(3)
@@ -330,6 +333,91 @@ class TestExpm:
             term = term @ (a * t) / k
             series = series + term
         np.testing.assert_allclose(expm(a, t), series, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_empty_stack(self, n):
+        assert expm(np.zeros((0, n, n)), 0.5).shape == (0, n, n)
+
+    def test_matrix_is_a_stack_of_one(self):
+        a = np.random.default_rng(4).standard_normal((5, 5))
+        phi = expm(a, 0.3)
+        assert phi.shape == (5, 5) and np.array_equal(phi, expm(a[None], 0.3)[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        a = np.array([-np.eye(2)] * 3)
+        a[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            expm(a)
+        with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
+            expm(-np.eye(2), bad)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_powers_are_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflow"):
+            expm(np.full((2, 2), 1e200))
+
+    def test_singular_denominator_is_numerical_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalError, match="singular Pade denominator"):
+            expm(np.eye(3))
+
+    def test_entries_keep_their_bits_in_any_group(self):
+        """Entries whose norms ask for different Pade degrees and squarings
+        each get the bits of their own one-entry call, in any order."""
+        rng = np.random.default_rng(5)
+        scales = [1e-4, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0]
+        a = np.array([rng.standard_normal((6, 6)) * c for c in scales for _ in range(3)])
+        pw = np.array([np.broadcast_to(np.eye(6), a.shape), a @ a])
+        pw = np.concatenate([pw, [pw[1] @ pw[1]]])
+        pw = np.concatenate([pw, [pw[2] @ pw[1], pw[2] @ pw[2]]])
+        pw = np.concatenate([pw, [pw[2] @ pw[3]]])
+        m, s = numkernel._pade_structure(a, pw)
+        assert len(set(zip(m.tolist(), s.tolist()))) >= len(scales)
+        phi = expm(a, 0.7)
+        order = rng.permutation(len(a))
+        assert np.array_equal(expm(a[order], 0.7), phi[order])
+        for ai, pi in zip(a, phi):
+            assert np.array_equal(pi, expm(ai, 0.7))
+
+    def test_one_solve_for_entries_of_one_norm(self, monkeypatch):
+        """101 entries D A D with D = diag(+-1) share every 1-norm, so their
+        Pade degree and squarings: one stacked solve serves them all, and
+        each entry is D e^A D to the bit."""
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((8, 8)) * 3.0
+        d = rng.choice([-1.0, 1.0], (101, 8))
+        stack = d[:, :, None] * a * d[:, None, :]
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        phi = expm(stack)
+        assert len(calls) == 1
+        assert np.array_equal(phi, d[:, :, None] * expm(a) * d[:, None, :])
+
+    def test_scipys_pade_degree_and_squarings(self):
+        """The (m, s) of each entry is the one SciPy's own expm picks."""
+        mod = pytest.importorskip("scipy.linalg._matfuncs_expm")
+        pick = getattr(mod, "pick_pade_structure", None)
+        if pick is None:
+            pytest.skip("SciPy has no pick_pade_structure")
+        rng = np.random.default_rng(7)
+        for n in range(1, 11):
+            a = rng.standard_normal((60, n, n)) * 10.0 ** rng.uniform(-4, 3, (60, 1, 1))
+            a[::3] -= np.eye(n) * rng.uniform(0, 5)
+            pw = [np.broadcast_to(np.eye(n), a.shape), a @ a]
+            pw += [pw[1] @ pw[1]]
+            pw += [pw[2] @ pw[1], pw[2] @ pw[2]]
+            pw += [pw[2] @ pw[3]]
+            m, s = numkernel._pade_structure(a, np.array(pw))
+            for ai, mi, si in zip(a, m, s):
+                work = np.empty((5, n, n))
+                work[0] = ai
+                assert (mi, si) == pick(work), (n, ai)
 
 
 class TestSpectralRadius:
