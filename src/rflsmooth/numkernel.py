@@ -17,15 +17,23 @@ Pade approximant, with each entry's degree m and squarings s chosen by Al-Mohy
 and Higham's rule (2009), as SciPy chooses them, from exact 1-norms of the
 powers the approximant needs anyway.  Entries that share (m, s) share every
 NumPy product, one stacked solve and the squarings.
+
+`gees` and `trsyl` come from SciPy's LAPACK extension scipy/linalg/_flapack (since
+SciPy 1.8), loaded by name without running `scipy.linalg`'s `__init__`, which imports
+`numpy.f2py`, `numpy.testing` and more, some 40% of a one-command CLI process's time.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-import scipy.linalg as sla
+import scipy
 
 from .errors import InfeasibleError, NumericalError, StationarityError
 
@@ -41,9 +49,26 @@ __all__ = [
     "spectral_radius",
 ]
 
+
+def _load_flapack(directory: str):
+    """scipy.linalg._flapack as SciPy loaded it, or else its extension file in `directory`
+    loaded under that name; ImportError, naming `directory`, when the file is missing."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    paths = (os.path.join(directory, "_flapack" + s) for s in EXTENSION_SUFFIXES)
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None:
+        raise ImportError(f"SciPy's LAPACK extension _flapack not found in {directory}", name=name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 _SYM_TOL = 1e-12
-_trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
-_gees = sla.get_lapack_funcs("gees", dtype=np.float64)
+_flapack = _load_flapack(os.path.join(scipy.__path__[0], "linalg"))
+_trsyl, _gees = _flapack.dtrsyl, _flapack.dgees
 # Al-Mohy & Higham (2009), Algorithm 6.1: the Pade degrees m, the largest eta at which
 # each needs no scaling (theta_m), and 1/|c_(2m+1)| of the backward-error bound ell(m).
 _DEGREES = np.array([3, 5, 7, 9, 13])

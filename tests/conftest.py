@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rflsmooth
 from rflsmooth.example import (
     OpticalParameters,
     phase_estimation_compact,
@@ -8,6 +14,18 @@ from rflsmooth.example import (
     reference_scaling_point,
 )
 from rflsmooth.synthesis import compute_gains
+
+SRC = Path(rflsmooth.__file__).resolve().parents[1]
+
+
+def run_python(argv, threads=None):
+    """Run `python argv` on these sources in a fresh interpreter, optionally
+    with a fixed OpenBLAS thread count."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
 
 
 @pytest.fixture(scope="session")

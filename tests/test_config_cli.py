@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +18,8 @@ from rflsmooth.config import (
 from rflsmooth.errors import ConfigError, NumericalError, StationarityError
 from rflsmooth.model import validate_plant
 
+from conftest import run_python
+
 FAST_SIM = """
 [simulation]
 kappa = 4.0e4
@@ -36,19 +34,6 @@ runs = 3
 master_seed = 9
 estimator = "smoother"
 """
-
-
-SRC = Path(cli.__file__).resolve().parents[1]
-
-
-def run_python(argv, threads=None):
-    """Run `python argv` on these sources in a fresh interpreter, optionally
-    with a fixed OpenBLAS thread count."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = str(threads)
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
 
 
 def fast_config(tmp_path, synthesis_extra=""):
@@ -438,6 +423,21 @@ class TestProcess:
                 "compact_from_config(load_config(bundled_example_path()))\n"
                 "print('scipy.optimize' in sys.modules)")
         assert run_python(["-c", code]).stdout.strip() == "False"
+
+    def test_commands_leave_scipy_linalg_unloaded(self, tmp_path):
+        """numkernel loads SciPy's LAPACK extension by itself: no command imports the
+        scipy.linalg package, whose import pulls in numpy.f2py and numpy.testing and
+        took about 40% of a one-command process's wall time."""
+        code = ("import sys\n"
+                "from rflsmooth import cli\n"
+                "from rflsmooth.config import bundled_example_path, compact_from_config, load_config\n"
+                "compact_from_config(load_config(bundled_example_path()))\n"
+                "for argv in (['synth'], ['sweep', '--grid', '5'], ['reproduce-paper'],\n"
+                "             ['mc', '--runs', '4']):\n"
+                "    assert cli.main([*argv, '--out-dir', sys.argv[1] + '/' + argv[0]]) == 0\n"
+                "print([m for m in ('scipy.linalg', 'scipy._lib._util', 'numpy.f2py')\n"
+                "       if m in sys.modules])")
+        assert run_python(["-c", code, str(tmp_path)]).stdout.splitlines()[-1] == "[]"
 
     def test_artifacts_independent_of_blas_threads(self, tmp_path):
         """Order 6: loop size 14, and the pinned synthesis is Newton-refined."""

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -18,7 +21,7 @@ from rflsmooth.numkernel import (
     spectral_radius,
 )
 
-from conftest import random_hurwitz
+from conftest import random_hurwitz, run_python
 
 
 def care_eig_oracle(a, s, q):
@@ -78,6 +81,43 @@ def assert_schurs_bits(calls):
             continue
         assert info == 0 and sdim == sdims
         assert np.array_equal(t, ts) and np.array_equal(z, zs)
+
+
+class TestLapackLoader:
+    """numkernel takes `gees` and `trsyl` from scipy.linalg._flapack without importing
+    the scipy.linalg package; SciPy, loaded before or after, shares that module."""
+
+    def test_scipy_linalg_imported_later_shares_the_extension(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from rflsmooth import numkernel\n"
+                "assert 'scipy.linalg' not in sys.modules\n"
+                "import scipy.linalg as sla\n"
+                "from scipy.linalg import lapack\n"
+                "assert numkernel._gees is lapack.dgees and numkernel._trsyl is lapack.dtrsyl\n"
+                "a = np.random.default_rng(0).standard_normal((5, 5))\n"
+                "t, z = sla.schur(a)\n"
+                "mine = numkernel._schur_abscissa(a)\n"
+                "assert (mine[0] == t).all() and (mine[1] == z).all()\n"
+                "x = sla.solve_continuous_are(a - 3 * np.eye(5), np.eye(5), np.eye(5), np.eye(5))\n"
+                "assert np.isfinite(x).all()\n"
+                "print('ok')")
+        assert run_python(["-c", code]).stdout.strip() == "ok"
+
+    def test_scipy_linalg_imported_first_is_reused(self):
+        code = ("import sys\n"
+                "from scipy.linalg import lapack\n"
+                "from rflsmooth import numkernel\n"
+                "assert numkernel._flapack is sys.modules['scipy.linalg._flapack']\n"
+                "assert numkernel._gees is lapack.dgees and numkernel._trsyl is lapack.dtrsyl\n"
+                "print('ok')")
+        assert run_python(["-c", code]).stdout.strip() == "ok"
+
+    def test_missing_extension_names_the_directory(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+            numkernel._load_flapack(str(tmp_path))
+        assert "scipy.linalg._flapack" not in sys.modules
 
 
 class TestCare:

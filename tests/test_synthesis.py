@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -664,6 +665,32 @@ def test_ordered_schur_bits_on_generated_plants(monkeypatch):
                 continue
     assert len(calls) > 300
     assert_schurs_bits(calls)
+
+
+def test_bound_dominates_stable_sweep_rows():
+    """V bounds half the stationary error variance of the printed output: wherever
+    `compute_gains` succeeds on a generated plant, Pf <= 2V at every Hurwitz sweep row
+    over delta2 in [-min(beta, 1), 0].  The (1, 0) class needs two-wide uncertainty
+    channels to be certified; the (0, 1) class never is (its feedthrough D is square,
+    see `test_no_point_without_filter_noise`).  Without uncertainty channels, at
+    tau = 100, the bound is near the Kalman limit, so the check has no slack."""
+    checked, worst = set(), 0.0
+    for kg, width, seed in itertools.product(itertools.product(range(3), repeat=2),
+                                             (1, 2), range(30)):
+        compact, lam = stable_case(seed, kg, width=width)
+        grid = np.linspace(-min((*compact.plant.beta, 1.0)), 0.0, 5)
+        for tau in (1.0, 100.0):
+            try:
+                sol = compute_gains(compact, ScalingPoint(lam=lam, tau=tau))
+            except ToolkitError:
+                continue
+            for row in delta_sweep(compact, sol, grid):
+                if row.hurwitz:
+                    assert row.pf <= 2 * sol.Vtau * (1 + 1e-9), (kg, width, seed, tau, row)
+                    checked.add(kg)
+                    worst = max(worst, row.pf / (2 * sol.Vtau))
+    assert checked == set(itertools.product(range(3), repeat=2)) - {(0, 1)}
+    assert worst > 0.999
 
 
 class TestGeneratedPlantFailures:
