@@ -28,19 +28,20 @@ M > 0 when C's pivots clear working precision (`_factor`).  Without
 uncertainty channels (ktilde = 0) M = I in Db21's frame with noise input
 Bp1w, and the filter Riccati is the Kalman filter's.
 
-A scaling point is evaluated along one path, `_gains`: `_point_terms` tests
-admissibility and forms its multipliers (from the term stacks `build_compact`
-precomputes), scaled noise and cost weights, which both Riccati solves read.
-The bound search reads the same terms and solutions again for V's exact
-gradient (`_bound_gradient`).  A point that gives no bound raises a
-`ToolkitError`, never a bare LAPACK error.
+A scaling point is evaluated along one path, `_gains`: `_lambda_terms` tests
+admissibility and forms lambda's multipliers (from the term stacks `build_compact`
+precomputes) and scaled noise, tau adds its cost weights, and both Riccati
+solves read them.  The point's `_PointTerms` keep what `_gains` built for V's
+exact gradient (`_bound_gradient`), which rebuilds none of it; a start's golden
+search over tau forms its lambda's terms once.  A point that gives no bound
+raises a `ToolkitError`, never a bare LAPACK error.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -198,23 +199,30 @@ def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPai
 
 @dataclass(frozen=True)
 class _PointTerms:
-    """Scaled noise (C, U, V, K, E^-1, Wxx = U U' + V V'; see the module
-    docstring) and cost weights (R, G, Gam) of one scaling point."""
+    """A scaling point's terms, in three stages: lambda's multipliers and scaled
+    noise (C, U, V, K, E^-1, Wxx = U U' + V V'; see the module docstring), tau's
+    cost weights (R, G, Gam), and what `_gains` built from them: the filter and
+    cost Riccati problems, G^-1 Gam' and `_bound_tail`'s (Bc~, (I - YX/tau)^-1, P)."""
 
+    mult: MultiplierPair
     c: np.ndarray
     u: np.ndarray
     v: np.ndarray
     k: np.ndarray
     einv: np.ndarray
     wxx: np.ndarray
-    r: np.ndarray
-    gmat: np.ndarray
-    gam: np.ndarray
+    r: np.ndarray = None
+    gmat: np.ndarray = None
+    gam: np.ndarray = None
+    yprob: RiccatiProblem = None
+    xprob: RiccatiProblem = None
+    g_gam: np.ndarray = None
+    tail: tuple = None
 
 
-def _point_terms(compact: CompactPlant, point: ScalingPoint, delayed_target: bool) -> _PointTerms:
-    """A scaling point's terms; an inadmissible point raises InfeasibleError."""
-    margin, mult, c = _admissibility(compact, point.lam)
+def _lambda_terms(compact: CompactPlant, lam: np.ndarray) -> _PointTerms:
+    """lambda's stage of the terms; an inadmissible lambda raises InfeasibleError."""
+    margin, mult, c = _admissibility(compact, lam)
     if not margin >= 0:
         raise InfeasibleError(
             f"scaling point is infeasible (margin {margin:.3e})", margin=margin
@@ -223,8 +231,7 @@ def _point_terms(compact: CompactPlant, point: ScalingPoint, delayed_target: boo
     bp = (compact.Bt1 if compact.ktilde else compact.Bp1w) @ compact.frame
     uv = np.linalg.solve(c, bp.T).T
     u, v, c22 = uv[:, :z], uv[:, z:], c[z:, z:]
-    return _PointTerms(c, u, v, bp[:, z:] - u @ c[z:, :z].T, c22 @ c22.T,
-                       u @ u.T + v @ v.T, *cost_weights(compact, point, mult, delayed_target))
+    return _PointTerms(mult, c, u, v, bp[:, z:] - u @ c[z:, :z].T, c22 @ c22.T, u @ u.T + v @ v.T)
 
 
 def _filter_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
@@ -233,8 +240,8 @@ def _filter_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
                           s=0.5 * (s + s.T))
 
 
-def _control_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
-    q = t.r - t.gam @ np.linalg.solve(t.gmat, t.gam.T)
+def _control_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms, g_gam):
+    q = t.r - t.gam @ g_gam
     return RiccatiProblem(a=compact.aug.Ap, q=0.5 * (q + q.T), s=-t.wxx / point.tau)
 
 
@@ -256,17 +263,21 @@ def compute_gains(compact: CompactPlant, point: ScalingPoint,
     return _gains(compact, point, delayed_target)[0]
 
 
-def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool):
-    """`compute_gains`'s solution with the point terms it was formed from."""
-    terms, tau = _point_terms(compact, point, delayed_target), point.tau
-    ysol = solve_care(_filter_problem(compact, point, terms))
+def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool, lam_terms=None):
+    """`compute_gains`'s solution with its terms, from `lam_terms` (point.lam's
+    `_lambda_terms`) if given."""
+    t = _lambda_terms(compact, point.lam) if lam_terms is None else lam_terms
+    r, gmat, gam = cost_weights(compact, point, t.mult, delayed_target)
+    terms, tau = replace(t, r=r, gmat=gmat, gam=gam), point.tau
+    ysol = solve_care(yprob := _filter_problem(compact, point, terms))
     ev = np.linalg.eigvalsh(ysol.x)       # Y > 0 to working precision, relative to its norm
     if not ev[0] > len(ev) * np.finfo(float).eps * ev[-1]:
         raise InfeasibleError(
             "filter Riccati solution is not positive definite at this scaling point")
     if np.linalg.eigvalsh(0.5 * (terms.gmat + terms.gmat.T)).min() <= 0:
         raise InfeasibleError("cost weight G is singular at this scaling point")
-    xsol = solve_care(_control_problem(compact, point, terms))
+    g_gam = np.linalg.solve(terms.gmat, terms.gam.T)
+    xsol = solve_care(xprob := _control_problem(compact, point, terms, g_gam))
     if np.linalg.eigvalsh(xsol.x).min() < -1e-10 * (1.0 + np.linalg.norm(xsol.x)):
         raise InfeasibleError("estimation-cost Riccati solution is not positive semidefinite")
     for name, sol in (("filter", ysol), ("cost", xsol)):
@@ -279,9 +290,8 @@ def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool):
             f"coupling condition violated: rho(YX) = {rho:.6e} >= tau = {tau:.6e}",
             rho=rho, tau=tau,
         )
-    bc, corr, p = _bound_tail(compact, terms, y, x, tau)
+    bc, corr, p = tail = _bound_tail(compact, terms, y, x, tau)
     v = float(0.5 * np.trace(y @ terms.r + p @ x @ corr))
-    g_gam = np.linalg.solve(terms.gmat, terms.gam.T)
     cc = -g_gam @ corr
     ac = (compact.aug.Ap + (y @ terms.r) / tau - bc @ compact.Ct2
           - (y @ terms.gam @ g_gam @ corr) / tau)
@@ -289,11 +299,12 @@ def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool):
         point=point, Y=y, X=x, Ac=ac, Bc_tilde=bc, Cc_tilde=cc,
         Ca=compact.aug.Ca.copy(), Vtau=v, rho_yx=rho,
         residual_y=ysol.residual, residual_x=xsol.residual, m=compact.m, l=compact.l,
-    ), terms
+    ), replace(terms, yprob=yprob, xprob=xprob, g_gam=g_gam, tail=tail)
 
 
 def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerms):
-    """Exact gradient of V_tau in (log tau, log lambda) at an evaluated point.
+    """Exact gradient of V_tau in (log tau, log lambda) at a point `_gains`
+    evaluated, from the terms it returned.
 
     Each parameter's derivative of M (as Om = C^-1 P' dM P C^-T, whose blocks
     give those of [U, V], K and E^-1), N and the cost weights changes both
@@ -310,7 +321,7 @@ def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerm
 
     # cost weights through d(tau N); scaled noise through Om: dWxx = -[U V] Om [U V]',
     # d(U U') = -U Om11 U', dK = -U Om12 C22' and d(E^-1) = C22 Om22 C22'
-    dtn = tau * np.concatenate([(w * compact.N_stack).sum(axis=0)[None], w * compact.N_stack])
+    dtn = tau * np.concatenate([t.mult.N[None], w * compact.N_stack])
     dr, dg, dgam = ct1.T @ dtn @ ct1, dt12.T @ dtn @ dt12, ct1.T @ dtn @ dt12
     z = t.u.shape[1]
     c22, uv = t.c[z:, z:], np.hstack([t.u, t.v])
@@ -324,16 +335,14 @@ def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerm
     # filter: a = At', S = R/tau - Ct2' E^-1 Ct2, Q = U U'
     ds = (dr - dlt * t.r) / tau - ct2.T @ deinv @ ct2
     fy = -y @ ct2.T @ mt(dk)
-    dy = care_sensitivity(_filter_problem(compact, point, t), y, fy + mt(fy) + y @ ds @ y + dw)
+    dy = care_sensitivity(t.yprob, y, fy + mt(fy) + y @ ds @ y + dw)
 
     # estimation cost: a = Ap, S = -Wxx/tau, Q = R - Gam G^-1 Gam'
-    g_gam = np.linalg.solve(t.gmat, t.gam.T)
-    dq = dr - (f := dgam @ g_gam) - mt(f) + g_gam.T @ dg @ g_gam
-    dx = care_sensitivity(_control_problem(compact, point, t), x,
-                          x @ ((dlt * t.wxx - dwxx) / tau) @ x + dq)
+    dq = dr - (f := dgam @ t.g_gam) - mt(f) + t.g_gam.T @ dg @ t.g_gam
+    dx = care_sensitivity(t.xprob, x, x @ ((dlt * t.wxx - dwxx) / tau) @ x + dq)
 
     # V = tr(Y R + P X corr) / 2 with P = Bc~ E Bc~' (`_bound_tail`); d(V V') = dWxx - d(U U')
-    bc, corr, p = _bound_tail(compact, t, y, x, tau)
+    bc, corr, p = t.tail
     dcorr = corr @ ((dy @ x + y @ dx - dlt * (y @ x)) / tau) @ corr
     yc = y @ ct2.T
     dp = (f := dy @ ct2.T @ bc.T + dk @ yc.T) + mt(f) + yc @ deinv @ yc.T + dwxx - dw
@@ -442,13 +451,13 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
     p = compact.frame if kt else np.eye(0)      # M_i in the frame P'MP is factored in
     barrier = partial(_barrier, p.T @ m_terms @ p, compact.J.T @ m_terms @ compact.J, bounds)
 
-    def evaluate(x):
-        """(V, (solution, terms)) at x, or (inf, None) where the evaluation raises."""
+    def evaluate(x, lam_terms=None):
+        """(V, (solution, terms)) at x, from x's `lam_terms` if given; (inf, None) if it raises."""
         nonlocal best, evaluations
         evaluations += 1
         try:
             sol, terms = _gains(compact, ScalingPoint(lam=x[1:], tau=math.exp(x[0])),
-                                delayed_target)
+                                delayed_target, lam_terms)
         except (InfeasibleError, NumericalError):
             return math.inf, None
         best = sol if best is None or sol.Vtau < best.Vtau else best
@@ -464,11 +473,11 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
     def follow(x):
         """The barrier path from x through MU_PATH; each accepted step is traced."""
         def phi(y):
-            """(V + mu B, V, evaluated point) at y; None outside B's domain."""
-            if (by := barrier(y, derivatives=False)) is None:
+            """(V + mu B, V, evaluated point, B with derivatives) at y; None outside B's domain."""
+            if (by := barrier(y)) is None:
                 return None
             vy, at_y = evaluate(y)
-            return vy + mu * by, vy, at_y
+            return vy + mu * by[0], vy, at_y, by
 
         if (bx := barrier(x)) is None:      # B's derivatives do not depend on mu
             return
@@ -492,11 +501,11 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
                     return
                 if (step := _backtrack(phi, x, v + mu * b, d, g @ d)) is None:
                     break
-                y, (_, v, at_y) = step
+                y, (_, v, at_y, by) = step
                 if (gy := gradient(at_y)) is None:
                     return
                 hv = _bfgs(hv, np.r_[y[0] - x[0], np.log(y[1:] / x[1:])], gy - gu)
-                x, gu, bx = y, gy, barrier(y)
+                x, gu, bx = y, gy, by
                 trace.append((math.exp(x[0]), x[1:].tolist(), v))
 
     if starts is None:
@@ -506,7 +515,10 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         bx = barrier(x)
         for _ in range(50):                          # damped Newton to the analytic centre
             b, g, h = bx
-            d = -np.linalg.solve(h, g)
+            try:
+                d = -np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:            # B's Hessian lost rank: centring ends
+                break
             if -(g @ d) < 1e-12 or (step := _backtrack(barrier, x, b, d, g @ d)) is None:
                 break
             x, bx = step
@@ -514,10 +526,14 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         for _ in range(200 * (n_starts - 1) if kt else 0):
             if len(starts) == n_starts:
                 break
-            if barrier(np.r_[x[0], cand := rng.uniform(0.0, lam_high, size=kt)]) is not None:
+            if barrier(np.r_[x[0], cand := rng.uniform(0.0, lam_high, size=kt)], False) is not None:
                 starts.append(cand)
     for lam0 in np.asarray(starts, dtype=float).reshape(len(starts), kt):
-        follow(np.r_[_golden(lambda s: evaluate(np.r_[s, lam0])[0], *bounds), lam0])
+        try:                                   # shared by every tau the golden search tries
+            lam_terms = _lambda_terms(compact, lam0)
+        except InfeasibleError:
+            lam_terms = None
+        follow(np.r_[_golden(lambda s: evaluate(np.r_[s, lam0], lam_terms)[0], *bounds), lam0])
     if best is None:
         raise InfeasibleError("no scaling point in the search gives a bound")
     return OptimizationResult(point=best.point, solution=best, vtau=best.Vtau, trace=trace,
