@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numkernel import _schur_abscissa, _solve
+
 __all__ = [
     "DelayModel",
     "pade_coefficients",
@@ -49,14 +51,13 @@ class DelayModel:
     @functools.cached_property
     def abscissa(self) -> float:
         """Max Re eig of Fa (-inf without states), from one real Schur form per model."""
-        from .numkernel import _schur_abscissa  # at module level it slowed start-up ~10 ms
         return _schur_abscissa(self.fa)[2] if self.na else -np.inf
 
     def dc_gain(self) -> np.ndarray:
         """Ha (-Fa)^-1 Ga + Ja; equals identity for a true delay."""
         if self.na == 0:
             return self.ja.copy()
-        return self.ha @ np.linalg.solve(-self.fa, self.ga) + self.ja
+        return self.ha @ _solve(-self.fa, self.ga) + self.ja
 
     def frequency_response(self, omega) -> np.ndarray:
         """Transfer function values Ha (jw I - Fa)^-1 Ga + Ja on a frequency grid."""
@@ -67,7 +68,7 @@ class DelayModel:
             if self.na == 0:
                 out[i] = self.ja
             else:
-                out[i] = self.ha @ np.linalg.solve(1j * w * eye - self.fa, self.ga) + self.ja
+                out[i] = self.ha @ _solve(1j * w * eye - self.fa, self.ga) + self.ja
         return out
 
     def markov_parameters(self, count: int) -> list[np.ndarray]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .delay import DelayModel
 from .errors import DimensionError, InfeasibleError
+from .numkernel import _eigvalsh, _solve
 
 __all__ = [
     "UncertainPlant",
@@ -229,7 +230,7 @@ def validate_plant(plant: UncertainPlant) -> list[str]:
     for s, w in enumerate(plant.S0):
         if s < k:
             sym = np.abs(w - w.T).max() <= 1e-12 * (1.0 + np.abs(w).max())
-            posdef = sym and np.linalg.eigvalsh(0.5 * (w + w.T)).min() > 0
+            posdef = sym and _eigvalsh(0.5 * (w + w.T)).min() > 0
             check(sym and posdef, f"S_{s + 1} not positive definite")
     check(len(plant.S0) == k, f"S0 count {len(plant.S0)} != k={k}")
     return issues
@@ -328,7 +329,7 @@ def build_compact(aug: AugmentedPlant, j21: np.ndarray = None, d0: float = 1e-9)
     if g > 0:
         if j21.shape != (g, g):
             raise DimensionError(f"J21 must be {g}x{g}, got {j21.shape}")
-        if np.linalg.eigvalsh(0.5 * (j21 + j21.T)).min() <= 0:
+        if _eigvalsh(0.5 * (j21 + j21.T)).min() <= 0:
             raise ValueError("J21 must be positive definite")
     else:
         j21 = np.zeros((0, 0))
@@ -366,7 +367,7 @@ def build_compact(aug: AugmentedPlant, j21: np.ndarray = None, d0: float = 1e-9)
     bp1w = np.hstack([aug.Bp1, np.zeros((n, g))])
 
     noise_gram = db21 @ db21.T
-    min_eig = float(np.linalg.eigvalsh(0.5 * (noise_gram + noise_gram.T)).min())
+    min_eig = float(_eigvalsh(0.5 * (noise_gram + noise_gram.T)).min())
     if min_eig < d0:
         raise InfeasibleError(
             f"stacked measurement noise is singular: eig(Db21 Db21') >= {min_eig:.3e} "
@@ -381,5 +382,5 @@ def build_compact(aug: AugmentedPlant, j21: np.ndarray = None, d0: float = 1e-9)
     return CompactPlant(
         aug=aug, Bt1=bt1, Ct1=ct1, Dt12=dt12, Ct2=ct2, Dt21=dt21, Db21=db21, J=j,
         Bp1w=bp1w, M_stack=m_stack, N_stack=n_stack,
-        frame=np.hstack([null, np.linalg.solve(d @ d.T, d).T]),
+        frame=np.hstack([null, _solve(d @ d.T, d).T]),
     )

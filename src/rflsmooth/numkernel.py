@@ -21,12 +21,16 @@ NumPy product, one stacked solve and the squarings.
 `gees` and `trsyl` come from SciPy's LAPACK extension scipy/linalg/_flapack (since
 SciPy 1.8), loaded by name without running `scipy.linalg`'s `__init__`, which imports
 `numpy.f2py`, `numpy.testing` and more, some 40% of a one-command CLI process's time.
+`_solve`, `_inv`, `_cholesky`, `_eigvalsh` and `_eigvals` call numpy.linalg's own gufuncs
+as it calls them, with its bits and its LinAlgError, but without its argument handling,
+which costs more than LAPACK on the search's matrices of order 8 and less.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -34,6 +38,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import scipy
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InfeasibleError, NumericalError, StationarityError
 
@@ -64,6 +69,45 @@ def _load_flapack(directory: str):
     module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _lapack_errors(message: str):
+    """numpy.linalg's error state around a gufunc: LAPACK's failure flag (invalid) raises
+    LinAlgError(message), the others are ignored; a fresh one a call, as NumPy 2 requires."""
+    def fail(err, flag):
+        raise LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy.linalg's solve: b is a vector only when 1-D (NumPy 2's rule); complex if a is."""
+    with _lapack_errors("Singular matrix"):
+        return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(
+            a, b, signature="DD->D" if a.dtype.kind == "c" else "dd->d")
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    with _lapack_errors("Singular matrix"):
+        return _umath_linalg.inv(a, signature="d->d")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    with _lapack_errors("Matrix is not positive definite"):
+        return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    with _lapack_errors("Eigenvalues did not converge"):
+        return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """numpy.linalg's eigvals: LinAlgError if a is not finite, real if every eigenvalue is."""
+    if not np.isfinite(a).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    with _lapack_errors("Eigenvalues did not converge"):
+        w = _umath_linalg.eigvals(a, signature="d->D")
+    return w if w.imag.any() else w.real
 
 
 _SYM_TOL = 1e-12
@@ -141,15 +185,19 @@ class CareSolution:
     residual: float
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of a matrix, summed as np.linalg.norm sums it: in memory order."""
+    return math.sqrt((r := x.ravel(order="K")).dot(r))
+
+
 def care_residual(prob: RiccatiProblem, x: np.ndarray) -> float:
     """Frobenius norm of  X A + A' X + X S X + Q."""
-    r = x @ prob.a + prob.a.T @ x + x @ prob.s @ x + prob.q
-    return float(np.linalg.norm(r, "fro"))
+    return _frobenius(x @ prob.a + prob.a.T @ x + x @ prob.s @ x + prob.q)
 
 
 def care_threshold(x: np.ndarray) -> float:
     """Largest accepted Frobenius residual of a Riccati solution X: 1e-8 (1 + ||X||_F^2)."""
-    return 1e-8 * (1.0 + np.linalg.norm(x, "fro") ** 2)
+    return 1e-8 * (1.0 + _frobenius(x) ** 2)
 
 
 def _hamiltonian_schur(prob: RiccatiProblem, imag_tol: float):
@@ -164,7 +212,7 @@ def _hamiltonian_schur(prob: RiccatiProblem, imag_tol: float):
                                         lwork=_gees_lwork(2 * n), sort_t=1)
     if info > 0:    # no Schur form, or reordering moved an eigenvalue across the axis
         raise InfeasibleError(f"ordered Schur form failed (LAPACK gees info {info})",
-                              eigenvalues=np.linalg.eigvals(ham))
+                              eigenvalues=_eigvals(ham))
     eigs = wr + 1j * wi
     scale = max(1.0, np.abs(eigs).max())
     near_axis = eigs[np.abs(eigs.real) <= imag_tol * scale]
@@ -180,8 +228,8 @@ def _hamiltonian_schur(prob: RiccatiProblem, imag_tol: float):
             eigenvalues=eigs,
         )
     try:                # U1 singular: the stable subspace is the graph of no X
-        x = np.linalg.solve(z[:n, :n].T, z[n:, :n].T).T
-    except np.linalg.LinAlgError:
+        x = _solve(z[:n, :n].T, z[n:, :n].T).T
+    except LinAlgError:
         raise InfeasibleError("stable subspace has a singular U1 block", eigenvalues=eigs) from None
     return 0.5 * (x + x.T)
 
@@ -378,8 +426,8 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
         pick = (m == deg) & (s == sq) if len(groups) > 1 else slice(None)   # one: no gather
         u, v = _pade(a[pick], pw[:5, pick], deg, sq)
         try:
-            r = 2.0 * np.linalg.solve(v - u, u) + eye
-        except np.linalg.LinAlgError:
+            r = 2.0 * _solve(v - u, u) + eye
+        except LinAlgError:
             raise NumericalError(f"singular Pade denominator (degree {deg})") from None
         for _ in range(sq):
             r = r @ r
@@ -389,7 +437,4 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.size == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvals(m)).max())
+    return float(np.abs(_eigvals(np.atleast_2d(np.asarray(m, dtype=float)))).max(initial=0.0))

@@ -21,7 +21,7 @@ from .example import (
     phase_estimation_compact,
     reference_scaling_point,
 )
-from .numkernel import care_threshold
+from .numkernel import _eigvalsh, care_threshold
 from .synthesis import compute_gains, feasible
 
 __all__ = ["matrix_check", "run_reproduction"]
@@ -105,7 +105,7 @@ def run_reproduction(realization: str = "paper",
         "riccati_residuals",
         sol.residual_y <= care_threshold(sol.Y) and sol.residual_x <= care_threshold(sol.X),
         f"residual_y {sol.residual_y:.3e}, residual_x {sol.residual_x:.3e}"))
-    ymin, xmin = np.linalg.eigvalsh(sol.Y).min(), np.linalg.eigvalsh(sol.X).min()
+    ymin, xmin = _eigvalsh(sol.Y).min(), _eigvalsh(sol.X).min()
     checks.append(_flag_check("Y_positive_definite", ymin > 0, f"min eig(Y) = {ymin:.3e}"))
     checks.append(_flag_check("X_positive_semidefinite", xmin >= -1e-12,
                               f"min eig(X) = {xmin:.3e}"))

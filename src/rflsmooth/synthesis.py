@@ -41,15 +41,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .errors import CouplingError, InfeasibleError, NumericalError
 from .model import CompactPlant
-from .numkernel import (RiccatiProblem, care_sensitivity, care_threshold, solve_care,
-                        spectral_radius)
+from .numkernel import (LinAlgError, RiccatiProblem, _cholesky, _eigvalsh, _frobenius, _inv,
+                        _solve, care_sensitivity, care_threshold, solve_care, spectral_radius)
 
 __all__ = [
     "ScalingPoint",
@@ -145,8 +145,8 @@ def _factor(m: np.ndarray):
     """Lower Cholesky factor of m if m > 0 to working precision: each pivot^2
     above len(m) eps times its diagonal entry, its elimination's rounding."""
     try:
-        c = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
+        c = _cholesky(m)
+    except LinAlgError:
         return None
     rel = min(c.diagonal() ** 2 / m.diagonal(), default=math.inf)
     return c if rel > len(m) * np.finfo(float).eps else None
@@ -165,7 +165,7 @@ def _admissibility(compact: CompactPlant, lam: np.ndarray):
     if compact.ktilde == 0:
         return math.inf, mult, c
     gap = np.eye(compact.J.shape[1]) - compact.J.T @ mult.M @ compact.J
-    return float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()), mult, c
+    return float(_eigvalsh(0.5 * (gap + gap.T)).min()), mult, c
 
 
 def feasible(compact: CompactPlant, point: ScalingPoint):
@@ -229,20 +229,20 @@ def _lambda_terms(compact: CompactPlant, lam: np.ndarray) -> _PointTerms:
         )
     z = len(c) - compact.l - compact.g                  # D has l + g rows
     bp = (compact.Bt1 if compact.ktilde else compact.Bp1w) @ compact.frame
-    uv = np.linalg.solve(c, bp.T).T
+    uv = _solve(c, bp.T).T
     u, v, c22 = uv[:, :z], uv[:, z:], c[z:, z:]
     return _PointTerms(mult, c, u, v, bp[:, z:] - u @ c[z:, :z].T, c22 @ c22.T, u @ u.T + v @ v.T)
 
 
-def _filter_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms):
-    s = t.r / point.tau - compact.Ct2.T @ t.einv @ compact.Ct2
+def _filter_problem(compact: CompactPlant, tau: float, t: _PointTerms, r):
+    s = r / tau - compact.Ct2.T @ t.einv @ compact.Ct2
     return RiccatiProblem(a=(compact.aug.Ap - t.k @ compact.Ct2).T, q=t.u @ t.u.T,
                           s=0.5 * (s + s.T))
 
 
-def _control_problem(compact: CompactPlant, point: ScalingPoint, t: _PointTerms, g_gam):
-    q = t.r - t.gam @ g_gam
-    return RiccatiProblem(a=compact.aug.Ap, q=0.5 * (q + q.T), s=-t.wxx / point.tau)
+def _control_problem(compact: CompactPlant, tau: float, t: _PointTerms, r, gam, g_gam):
+    q = r - gam @ g_gam
+    return RiccatiProblem(a=compact.aug.Ap, q=0.5 * (q + q.T), s=-t.wxx / tau)
 
 
 def _bound_tail(compact: CompactPlant, t: _PointTerms, y, x, tau):
@@ -251,7 +251,7 @@ def _bound_tail(compact: CompactPlant, t: _PointTerms, y, x, tau):
     yc = y @ compact.Ct2.T
     ye = yc @ t.einv
     p = ye @ yc.T + (f := yc @ t.k.T) + f.T + t.v @ t.v.T
-    return ye + t.k, np.linalg.inv(np.eye(compact.n) - (y @ x) / tau), p
+    return ye + t.k, _inv(np.eye(compact.n) - (y @ x) / tau), p
 
 
 def compute_gains(compact: CompactPlant, point: ScalingPoint,
@@ -267,18 +267,17 @@ def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool, lam
     """`compute_gains`'s solution with its terms, from `lam_terms` (point.lam's
     `_lambda_terms`) if given."""
     t = _lambda_terms(compact, point.lam) if lam_terms is None else lam_terms
-    r, gmat, gam = cost_weights(compact, point, t.mult, delayed_target)
-    terms, tau = replace(t, r=r, gmat=gmat, gam=gam), point.tau
-    ysol = solve_care(yprob := _filter_problem(compact, point, terms))
-    ev = np.linalg.eigvalsh(ysol.x)       # Y > 0 to working precision, relative to its norm
+    (r, gmat, gam), tau = cost_weights(compact, point, t.mult, delayed_target), point.tau
+    ysol = solve_care(yprob := _filter_problem(compact, tau, t, r))
+    ev = _eigvalsh(ysol.x)       # Y > 0 to working precision, relative to its norm
     if not ev[0] > len(ev) * np.finfo(float).eps * ev[-1]:
         raise InfeasibleError(
             "filter Riccati solution is not positive definite at this scaling point")
-    if np.linalg.eigvalsh(0.5 * (terms.gmat + terms.gmat.T)).min() <= 0:
+    if _eigvalsh(0.5 * (gmat + gmat.T)).min() <= 0:
         raise InfeasibleError("cost weight G is singular at this scaling point")
-    g_gam = np.linalg.solve(terms.gmat, terms.gam.T)
-    xsol = solve_care(xprob := _control_problem(compact, point, terms, g_gam))
-    if np.linalg.eigvalsh(xsol.x).min() < -1e-10 * (1.0 + np.linalg.norm(xsol.x)):
+    g_gam = _solve(gmat, gam.T)
+    xsol = solve_care(xprob := _control_problem(compact, tau, t, r, gam, g_gam))
+    if _eigvalsh(xsol.x).min() < -1e-10 * (1.0 + _frobenius(xsol.x)):
         raise InfeasibleError("estimation-cost Riccati solution is not positive semidefinite")
     for name, sol in (("filter", ysol), ("cost", xsol)):
         if sol.residual > care_threshold(sol.x):
@@ -290,16 +289,15 @@ def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool, lam
             f"coupling condition violated: rho(YX) = {rho:.6e} >= tau = {tau:.6e}",
             rho=rho, tau=tau,
         )
-    bc, corr, p = tail = _bound_tail(compact, terms, y, x, tau)
-    v = float(0.5 * np.trace(y @ terms.r + p @ x @ corr))
+    bc, corr, p = tail = _bound_tail(compact, t, y, x, tau)
+    v = float(0.5 * np.trace(y @ r + p @ x @ corr))
     cc = -g_gam @ corr
-    ac = (compact.aug.Ap + (y @ terms.r) / tau - bc @ compact.Ct2
-          - (y @ terms.gam @ g_gam @ corr) / tau)
+    ac = (compact.aug.Ap + (y @ r) / tau - bc @ compact.Ct2 - (y @ gam @ g_gam @ corr) / tau)
     return SynthesisSolution(
         point=point, Y=y, X=x, Ac=ac, Bc_tilde=bc, Cc_tilde=cc,
         Ca=compact.aug.Ca.copy(), Vtau=v, rho_yx=rho,
         residual_y=ysol.residual, residual_x=xsol.residual, m=compact.m, l=compact.l,
-    ), replace(terms, yprob=yprob, xprob=xprob, g_gam=g_gam, tail=tail)
+    ), _PointTerms(t.mult, t.c, t.u, t.v, t.k, t.einv, t.wxx, r, gmat, gam, yprob, xprob, g_gam, tail)
 
 
 def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerms):
@@ -316,7 +314,7 @@ def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerm
     point, y, x = sol.point, sol.Y, sol.X
     tau, w, kt = point.tau, point.lam[:, None, None], compact.ktilde
     ct1, dt12, ct2 = compact.Ct1, compact.Dt12, compact.Ct2
-    dlt = np.r_[1.0, np.zeros(kt)][:, None, None]            # d log tau
+    dlt = np.eye(kt + 1, 1)[:, :, None]                     # d log tau
     mt = partial(np.swapaxes, axis1=1, axis2=2)              # transpose each entry
 
     # cost weights through d(tau N); scaled noise through Om: dWxx = -[U V] Om [U V]',
@@ -327,7 +325,7 @@ def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerm
     c22, uv = t.c[z:, z:], np.hstack([t.u, t.v])
     om = np.zeros((kt + 1,) + t.c.shape)
     if kt:
-        white = np.linalg.solve(t.c, compact.frame.T)       # C^-1 P'
+        white = _solve(t.c, compact.frame.T)                # C^-1 P'
         om[1:] = white @ (w * compact.M_stack) @ white.T
     dwxx, dw = -uv @ om @ uv.T, -t.u @ om[:, :z, :z] @ t.u.T
     dk, deinv = -t.u @ om[:, :z, z:] @ c22.T, c22 @ om[:, z:, z:] @ c22.T
@@ -377,9 +375,9 @@ def _barrier(m_terms, s_terms, bounds, x, derivatives=True):
     value = -logdet - np.log(lam).sum() - np.log(t).sum()
     if not derivatives:
         return value
-    a, c = np.linalg.solve(m, m_terms), np.linalg.solve(s, s_terms)
-    grad = np.r_[1.0 / t[1] - 1.0 / t[0],
-                 np.trace(c, axis1=1, axis2=2) - np.trace(a, axis1=1, axis2=2) - 1.0 / lam]
+    a, c = _solve(m, m_terms), _solve(s, s_terms)
+    grad = np.concatenate(([1.0 / t[1] - 1.0 / t[0]], np.trace(c, axis1=1, axis2=2)
+                           - np.trace(a, axis1=1, axis2=2) - 1.0 / lam))
     hess = np.zeros((x.size, x.size))
     hess[0, 0] = (t ** -2.0).sum()
     hess[1:, 1:] = (np.einsum("iab,jba->ij", a, a) + np.einsum("iab,jba->ij", c, c)
@@ -410,14 +408,14 @@ def _bfgs(h, s, y):
 
 
 def _golden(f, a, b, tol=1e-4):
-    """Golden-section minimum of f on [a, b].  It only compares values, so f
-    may be inf where it has none; ties move the bracket up, toward the large
-    tau where V exists."""
+    """Golden-section minimum on [a, b] of f's first entry, as (s, f(s)): f runs
+    once per point.  It only compares values, so they may be inf where f has none;
+    ties move the bracket up, toward the large tau where V exists."""
     r = 0.5 * (math.sqrt(5.0) - 1.0)
     c, d = b - r * (b - a), a + r * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
-        if fc < fd:
+        if fc[0] < fd[0]:
             b, d, fd = d, c, fc
             c = b - r * (b - a)
             fc = f(c)
@@ -425,7 +423,7 @@ def _golden(f, a, b, tol=1e-4):
             a, c, fc = c, d, fd
             d = a + r * (b - a)
             fd = f(d)
-    return c if fc < fd else d
+    return (c, fc) if fc[0] < fd[0] else (d, fd)
 
 
 def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
@@ -470,8 +468,9 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         except (InfeasibleError, NumericalError):
             return None
 
-    def follow(x):
-        """The barrier path from x through MU_PATH; each accepted step is traced."""
+    def follow(x, evaluated):
+        """The barrier path through MU_PATH from x, where `evaluate` returned `evaluated`;
+        each accepted step is traced."""
         def phi(y):
             """(V + mu B, V, evaluated point, B with derivatives) at y; None outside B's domain."""
             if (by := barrier(y)) is None:
@@ -481,7 +480,7 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
 
         if (bx := barrier(x)) is None:      # B's derivatives do not depend on mu
             return
-        v, at_x = evaluate(x)
+        v, at_x = evaluated
         if at_x is None or (gu := gradient(at_x)) is None:
             return
         trace.append((math.exp(x[0]), x[1:].tolist(), v))
@@ -489,35 +488,35 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         for mu in MU_PATH:
             for _ in range(NEWTON_STEPS):
                 b, gb, hb = bx
-                scale = np.r_[1.0, x[1:]]                # dx / d(log tau, log lambda)
+                scale = np.concatenate(([1.0], x[1:]))   # dx / d(log tau, log lambda)
                 g = gu / scale + mu * gb
                 hc = mu * hb                             # stop near the path in B's metric,
                 hc[0, 0] += hv[0, 0]                     # not the BFGS one, which can overshoot
                 try:
-                    if g @ np.linalg.solve(hc, g) <= 0.1 * mu:
+                    if g @ _solve(hc, g) <= 0.1 * mu:
                         break
-                    d = -np.linalg.solve(hv / np.outer(scale, scale) + mu * hb, g)
-                except np.linalg.LinAlgError:            # B's Hessian lost rank near the face
+                    d = -_solve(hv / np.outer(scale, scale) + mu * hb, g)
+                except LinAlgError:                      # B's Hessian lost rank near the face
                     return
                 if (step := _backtrack(phi, x, v + mu * b, d, g @ d)) is None:
                     break
                 y, (_, v, at_y, by) = step
                 if (gy := gradient(at_y)) is None:
                     return
-                hv = _bfgs(hv, np.r_[y[0] - x[0], np.log(y[1:] / x[1:])], gy - gu)
+                hv = _bfgs(hv, np.concatenate(([y[0] - x[0]], np.log(y[1:] / x[1:]))), gy - gu)
                 x, gu, bx = y, gy, by
                 trace.append((math.exp(x[0]), x[1:].tolist(), v))
 
     if starts is None:
         s_sum = compact.J.T @ m_terms.sum(axis=0) @ compact.J
-        t = 0.5 / max(np.linalg.eigvalsh(s_sum).max(initial=0), 1.0)   # I - t s_sum > 0
-        x = np.r_[sum(bounds) / 2, np.full(kt, t)]
+        t = 0.5 / max(_eigvalsh(s_sum).max(initial=0), 1.0)   # I - t s_sum > 0
+        x = np.concatenate(([sum(bounds) / 2], np.full(kt, t)))
         bx = barrier(x)
         for _ in range(50):                          # damped Newton to the analytic centre
             b, g, h = bx
             try:
-                d = -np.linalg.solve(h, g)
-            except np.linalg.LinAlgError:            # B's Hessian lost rank: centring ends
+                d = -_solve(h, g)
+            except LinAlgError:                      # B's Hessian lost rank: centring ends
                 break
             if -(g @ d) < 1e-12 or (step := _backtrack(barrier, x, b, d, g @ d)) is None:
                 break
@@ -526,14 +525,16 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         for _ in range(200 * (n_starts - 1) if kt else 0):
             if len(starts) == n_starts:
                 break
-            if barrier(np.r_[x[0], cand := rng.uniform(0.0, lam_high, size=kt)], False) is not None:
+            cand = rng.uniform(0.0, lam_high, size=kt)
+            if barrier(np.concatenate(([x[0]], cand)), False) is not None:
                 starts.append(cand)
     for lam0 in np.asarray(starts, dtype=float).reshape(len(starts), kt):
         try:                                   # shared by every tau the golden search tries
             lam_terms = _lambda_terms(compact, lam0)
         except InfeasibleError:
             lam_terms = None
-        follow(np.r_[_golden(lambda s: evaluate(np.r_[s, lam0], lam_terms)[0], *bounds), lam0])
+        s, evaluated = _golden(lambda s: evaluate(np.concatenate(([s], lam0)), lam_terms), *bounds)
+        follow(np.concatenate(([s], lam0)), evaluated)
     if best is None:
         raise InfeasibleError("no scaling point in the search gives a bound")
     return OptimizationResult(point=best.point, solution=best, vtau=best.Vtau, trace=trace,

@@ -1,5 +1,6 @@
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,10 +218,12 @@ class TestCare:
         rng = np.random.default_rng(5)
         problems = [random_lqr_problem(rng, 4) for _ in range(4)]
         calls = {"_gees": 0, "schur": 0, "eigvals": 0}
-        for module, name in ((numkernel, "_gees"), (sla, "schur"), (np.linalg, "eigvals")):
+        for module, name, key in ((numkernel, "_gees", "_gees"), (sla, "schur", "schur"),
+                                  (np.linalg, "eigvals", "eigvals"),
+                                  (numkernel, "_eigvals", "eigvals")):
             fn = getattr(module, name)
 
-            def counted(*args, _name=name, _fn=fn, **kwargs):
+            def counted(*args, _name=key, _fn=fn, **kwargs):
                 calls[_name] += _name != "_gees" or kwargs.get("sort_t") == 1
                 return _fn(*args, **kwargs)
 
@@ -402,7 +405,7 @@ class TestExpm:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(numkernel, "_solve", singular)
         with pytest.raises(NumericalError, match="singular Pade denominator"):
             expm(np.eye(3))
 
@@ -433,8 +436,8 @@ class TestExpm:
         d = rng.choice([-1.0, 1.0], (101, 8))
         stack = d[:, :, None] * a * d[:, None, :]
         calls = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        solve = numkernel._solve
+        monkeypatch.setattr(numkernel, "_solve", lambda *args: calls.append(1) or solve(*args))
         phi = expm(stack)
         assert len(calls) == 1
         assert np.array_equal(phi, d[:, :, None] * expm(a) * d[:, None, :])
@@ -475,3 +478,75 @@ class TestSpectralRadius:
     def test_empty(self):
         assert spectral_radius(np.zeros((0, 0))) == 0.0
 
+
+
+class TestSmallLapack:
+    """numkernel's LAPACK helpers call numpy.linalg's own gufuncs: the same bits, and
+    LinAlgError where numpy.linalg raises it."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_bits_of_numpy_linalg(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 11):
+            for shape in ((n, n), (3, n, n)):
+                a = rng.standard_normal(shape)
+                spd = a @ a.swapaxes(-1, -2) + n * np.eye(n)
+                for b in (rng.standard_normal(n), rng.standard_normal((n, 4)),
+                          rng.standard_normal(shape[:-1] + (2,)),
+                          a.swapaxes(-1, -2)):                    # not C-contiguous
+                    self.assert_same(numkernel._solve(a, b), np.linalg.solve(a, b))
+                self.assert_same(numkernel._inv(a), np.linalg.inv(a))
+                self.assert_same(numkernel._cholesky(spd), np.linalg.cholesky(spd))
+                self.assert_same(numkernel._eigvalsh(spd), np.linalg.eigvalsh(spd))
+                self.assert_same(numkernel._eigvalsh(a), np.linalg.eigvalsh(a))   # lower half
+            a = rng.standard_normal((n, n))
+            for m in (a, a + a.T, np.triu(a)):                  # complex and real eigenvalues
+                self.assert_same(numkernel._eigvals(m), np.linalg.eigvals(m))
+            z = a + 1j * rng.standard_normal((n, n))
+            b = rng.standard_normal((n, 2))
+            self.assert_same(numkernel._solve(z, b), np.linalg.solve(z, b))
+
+    def test_barrier_right_hand_sides(self):
+        """_barrier solves one (m, m) matrix against a (k, m, m) stack of terms."""
+        rng = np.random.default_rng(13)
+        for m in range(1, 7):
+            a = rng.standard_normal((m, m)) + m * np.eye(m)
+            terms = rng.standard_normal((4, m, m))
+            self.assert_same(numkernel._solve(a, terms), np.linalg.solve(a, terms))
+
+    def test_failures_are_linalg_errors(self):
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        for fn, args in ((numkernel._solve, (singular, np.ones(2))),
+                         (numkernel._solve, (singular, np.eye(2))),
+                         (numkernel._inv, (singular,)),
+                         (numkernel._cholesky, (-np.eye(2),)),
+                         (numkernel._cholesky, (singular,)),
+                         (numkernel._eigvals, (np.array([[1.0, np.nan], [0.0, 1.0]]),)),
+                         (numkernel._eigvals, (np.array([[np.inf]]),))):
+            with pytest.raises(np.linalg.LinAlgError):
+                fn(*args)
+            with pytest.raises(np.linalg.LinAlgError):
+                getattr(np.linalg, fn.__name__.lstrip("_"))(*args)
+
+    def test_frobenius_norms_keep_their_bits(self):
+        """_frobenius, care_residual and care_threshold sum the squares as np.linalg.norm
+        does."""
+        rng = np.random.default_rng(14)
+        for n in range(1, 9):
+            prob = random_lqr_problem(rng, n)
+            for x in (rng.standard_normal((n, n)), rng.standard_normal((n, n)).T):
+                r = x @ prob.a + prob.a.T @ x + x @ prob.s @ x + prob.q
+                assert numkernel._frobenius(x) == np.linalg.norm(x)
+                assert care_residual(prob, x) == float(np.linalg.norm(r, "fro"))
+                assert numkernel.care_threshold(x) == 1e-8 * (1.0 + np.linalg.norm(x, "fro") ** 2)
+
+    def test_no_numpy_linalg_call_in_the_package(self):
+        src = Path(numkernel.__file__).parent
+        pattern = re.compile(r"np\.linalg\.(solve|inv|cholesky|eigvalsh|eigvals)\(")
+        found = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+        assert found == []

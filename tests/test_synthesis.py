@@ -355,13 +355,15 @@ class TestEvaluationPath:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """The first argument of each call to a counted function, by name."""
+        """The first argument of each call to a counted function, by name (numkernel's
+        LAPACK helpers by numpy.linalg's, without the underscore)."""
         calls = {}
         for owner, name in ((synthesis, "assemble_multipliers"), (synthesis, "solve_care"),
-                            (np.linalg, "cholesky"), (np.linalg, "inv")):
-            fn, calls[name] = getattr(owner, name), []
+                            (synthesis, "_cholesky"), (synthesis, "_inv")):
+            fn, key = getattr(owner, name), name.lstrip("_")
+            calls[key] = []
 
-            def counted(*args, _name=name, _fn=fn, **kwargs):
+            def counted(*args, _name=key, _fn=fn, **kwargs):
                 calls[_name].append(args[0])
                 return _fn(*args, **kwargs)
 
@@ -393,9 +395,12 @@ class TestEvaluationPath:
         the bound's tail at most once, the gradient builds no Riccati problem, G^-1 Gam'
         is solved once per evaluation past the G check, the barrier runs once per point
         the search visits, and its lambda is tested once up to the end of the
-        golden-section search over tau (the analytic centre takes only the barrier)."""
+        golden-section search over tau (the analytic centre takes only the barrier).  No
+        two consecutive `_gains` calls share a point: the path starts from the golden
+        search's own evaluation."""
         calls, open_frames, frames = collections.Counter(), [], collections.defaultdict(list)
         gmats, g_solves, barrier_points, golden_admissibility = [], [], [], []
+        gains_points = []
 
         def patch(owner, name, before=None, after=None, frame=False):
             """Count calls of owner.name, also in each open frame; a `frame` function
@@ -432,11 +437,12 @@ class TestEvaluationPath:
         for name in ("_filter_problem", "_control_problem", "_bound_tail", "_admissibility",
                      "RiccatiProblem"):
             patch(synthesis, name)
-        for name in ("_gains", "_bound_gradient"):
-            patch(synthesis, name, frame=True)
+        patch(synthesis, "_gains", frame=True, before=lambda compact, point, *rest:
+              gains_points.append((point.tau, point.lam.tobytes())))
+        patch(synthesis, "_bound_gradient", frame=True)
         patch(synthesis, "cost_weights", after=lambda weights: gmats.append(weights[1]))
         patch(synthesis, "_barrier", before=lambda *args: barrier_points.append(args[3].tobytes()))
-        patch(np.linalg, "solve", before=lambda a, *rest: g_solves.extend(
+        patch(synthesis, "_solve", before=lambda a, *rest: g_solves.extend(
             i for i, g in enumerate(gmats) if a is g))
         monkeypatch.setattr(synthesis, "_golden", golden(synthesis._golden))
         synthesis.minimize_bound(paper_compact, n_starts=1)
@@ -451,6 +457,7 @@ class TestEvaluationPath:
         assert len(g_solves) == len(set(g_solves)) == calls["_control_problem"] > 50
         assert len(barrier_points) == len(set(barrier_points)) > 50
         assert golden_admissibility == [1]
+        assert all(p != q for p, q in zip(gains_points, gains_points[1:]))
 
 
 def test_delayed_target_variant(paper_compact, reference_point, paper_solution):
