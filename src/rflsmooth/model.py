@@ -10,6 +10,7 @@ uncertainty channel form the synthesis machinery consumes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +139,8 @@ class CompactPlant:
     scaling entry: M(lambda) = sum_j lambda_j M_stack[j], likewise N.
     frame is P = [N, D+] for the scaled noise's feedthrough D (Dt21, or Db21
     if ktilde = 0): N spans D's null space orthonormally, D+ = D'(DD')^-1.
+    Sizes and the other values the fields fix are derived on first use and
+    are no fields, so `dataclasses.replace` derives them anew.
     """
 
     aug: AugmentedPlant
@@ -153,45 +156,38 @@ class CompactPlant:
     N_stack: np.ndarray
     frame: np.ndarray
 
-    @property
-    def plant(self) -> UncertainPlant:
-        return self.aug.plant
+    plant = functools.cached_property(lambda self: self.aug.plant)
+    n = functools.cached_property(lambda self: self.aug.n)
+    h = functools.cached_property(lambda self: sum(self.plant.h_s))
+    r = functools.cached_property(lambda self: sum(self.plant.r_s))
+    p = functools.cached_property(lambda self: self.h + 2 * self.plant.g)
+    ktilde = functools.cached_property(lambda self: self.plant.k + 3 * self.plant.g)
+    m = functools.cached_property(lambda self: self.plant.m)
+    l = functools.cached_property(lambda self: self.plant.l)
+    g = functools.cached_property(lambda self: self.plant.g)
+    k = functools.cached_property(lambda self: self.plant.k)
 
-    @property
-    def n(self) -> int:
-        return self.aug.n
+    @functools.cached_property
+    def selector(self) -> np.ndarray:
+        """I_m on the estimated outputs, 0 on the copy inputs: the cost weight G's first term."""
+        return np.diag(np.repeat([1.0, 0.0], (self.m, self.g)))
 
-    @property
-    def h(self) -> int:
-        return sum(self.plant.h_s)
+    @functools.cached_property
+    def targets(self) -> tuple:
+        """(target' target, -[target', 0]) of the estimation target: the undelayed output
+        Cp0 first, then the delayed readout Ca."""
+        return tuple((c.T @ c, -np.hstack([c.T, np.zeros((self.n, self.g))]))
+                     for c in (self.aug.Cp0, self.aug.Ca))
 
-    @property
-    def r(self) -> int:
-        return sum(self.plant.r_s)
+    @functools.cached_property
+    def j_identity(self) -> np.ndarray:
+        """The identity of J's width, from which J'M(lambda)J is subtracted."""
+        return np.eye(self.J.shape[1])
 
-    @property
-    def p(self) -> int:
-        return self.h + 2 * self.plant.g
-
-    @property
-    def ktilde(self) -> int:
-        return self.plant.k + 3 * self.plant.g
-
-    @property
-    def m(self) -> int:
-        return self.plant.m
-
-    @property
-    def l(self) -> int:
-        return self.plant.l
-
-    @property
-    def g(self) -> int:
-        return self.plant.g
-
-    @property
-    def k(self) -> int:
-        return self.plant.k
+    @functools.cached_property
+    def noise_frame(self) -> np.ndarray:
+        """Bt1 P, the uncertainty input in the noise frame (Bp1w P if ktilde = 0)."""
+        return (self.Bt1 if self.ktilde else self.Bp1w) @ self.frame
 
 
 def validate_plant(plant: UncertainPlant) -> list[str]:

@@ -21,9 +21,11 @@ NumPy product, one stacked solve and the squarings.
 `gees` and `trsyl` come from SciPy's LAPACK extension scipy/linalg/_flapack (since
 SciPy 1.8), loaded by name without running `scipy.linalg`'s `__init__`, which imports
 `numpy.f2py`, `numpy.testing` and more, some 40% of a one-command CLI process's time.
+SciPy's directory is found without importing the `scipy` package either.
 `_solve`, `_inv`, `_cholesky`, `_eigvalsh` and `_eigvals` call numpy.linalg's own gufuncs
 as it calls them, with its bits and its LinAlgError, but without its argument handling,
-which costs more than LAPACK on the search's matrices of order 8 and less.
+which costs more than LAPACK on the search's matrices of order 8 and less; each takes
+numpy.linalg's error state from one `np.errstate` decorator, built at import.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InfeasibleError, NumericalError, StationarityError
@@ -72,46 +73,48 @@ def _load_flapack(directory: str):
 
 
 def _lapack_errors(message: str):
-    """numpy.linalg's error state around a gufunc: LAPACK's failure flag (invalid) raises
-    LinAlgError(message), the others are ignored; a fresh one a call, as NumPy 2 requires."""
+    """numpy.linalg's error state around a gufunc, as a decorator: LAPACK's failure flag
+    (invalid) raises LinAlgError(message), the others are ignored."""
     def fail(err, flag):
         raise LinAlgError(message)
     return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
+@_lapack_errors("Singular matrix")
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """numpy.linalg's solve: b is a vector only when 1-D (NumPy 2's rule); complex if a is."""
-    with _lapack_errors("Singular matrix"):
-        return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(
-            a, b, signature="DD->D" if a.dtype.kind == "c" else "dd->d")
+    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(
+        a, b, signature="DD->D" if a.dtype.kind == "c" else "dd->d")
 
 
+@_lapack_errors("Singular matrix")
 def _inv(a: np.ndarray) -> np.ndarray:
-    with _lapack_errors("Singular matrix"):
-        return _umath_linalg.inv(a, signature="d->d")
+    return _umath_linalg.inv(a, signature="d->d")
 
 
+@_lapack_errors("Matrix is not positive definite")
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    with _lapack_errors("Matrix is not positive definite"):
-        return _umath_linalg.cholesky_lo(a, signature="d->d")
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
+@_lapack_errors("Eigenvalues did not converge")
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    with _lapack_errors("Eigenvalues did not converge"):
-        return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
 
 
+@_lapack_errors("Eigenvalues did not converge")
 def _eigvals(a: np.ndarray) -> np.ndarray:
     """numpy.linalg's eigvals: LinAlgError if a is not finite, real if every eigenvalue is."""
     if not np.isfinite(a).all():
         raise LinAlgError("Array must not contain infs or NaNs")
-    with _lapack_errors("Eigenvalues did not converge"):
-        w = _umath_linalg.eigvals(a, signature="d->D")
+    w = _umath_linalg.eigvals(a, signature="d->D")
     return w if w.imag.any() else w.real
 
 
 _SYM_TOL = 1e-12
-_flapack = _load_flapack(os.path.join(scipy.__path__[0], "linalg"))
+if (_scipy := importlib.util.find_spec("scipy")) is None:     # found, not imported
+    raise ImportError("SciPy is not installed", name="scipy")
+_flapack = _load_flapack(os.path.join(_scipy.submodule_search_locations[0], "linalg"))
 _trsyl, _gees = _flapack.dtrsyl, _flapack.dgees
 # Al-Mohy & Higham (2009), Algorithm 6.1: the Pade degrees m, the largest eta at which
 # each needs no scaling (theta_m), and 1/|c_(2m+1)| of the backward-error bound ell(m).
@@ -243,7 +246,7 @@ def _newton_refine(prob: RiccatiProblem, x: np.ndarray, sweeps: int = 5):
         if abscissa >= 0:
             break
         f = best @ prob.a + prob.a.T @ best + best @ prob.s @ best + prob.q
-        delta = _lyap_schur(t[None], z, f[None])[0]
+        delta = _lyap_schur(t, z, f[None])[0]
         cand = 0.5 * ((best + delta) + (best + delta).T)
         res = care_residual(prob, cand)
         if res >= best_res:
@@ -284,8 +287,7 @@ def care_sensitivity(prob: RiccatiProblem, x: np.ndarray, rhs: np.ndarray) -> np
     the stack `rhs`: F = X dA + dA' X + X dS X + dQ, the change of the
     equation at fixed X, gives dX from (A + S X)' dX + dX (A + S X) + F = 0.
     One Schur form of the closed loop serves every entry (Kenney & Hewer)."""
-    t, z, _ = _schur_abscissa((prob.a + prob.s @ x).T)
-    return _lyap_schur(np.broadcast_to(t, rhs.shape), z, rhs)
+    return _lyap_schur(*_schur((prob.a + prob.s @ x).T), rhs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,25 +296,40 @@ def _gees_lwork(n: int) -> int:
     return int(_gees(lambda x: None, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
-def _schur_abscissa(a: np.ndarray):
-    """Real Schur forms A = Z T Z' of a matrix or of each in a stack, and max Re eig(A),
-    read from diag(T): LAPACK gives each 2x2 block of T equal diagonal entries, its
-    pair's real part.  One `gees` call an entry, with scipy.linalg.schur's workspace."""
+def _schur(a: np.ndarray):
+    """Real Schur forms A = Z T Z' of a matrix or of each in a stack, one `gees` call an
+    entry with scipy.linalg.schur's workspace; a matrix's form is gees's own, not a copy."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
+    if a.ndim == 2:
+        return _gees_form(a, _gees_lwork(len(a)))
     (t, z), lwork = np.empty((2, *a.shape)), _gees_lwork(a.shape[-1])
     for i in np.ndindex(a.shape[:-2]):
-        t[i], _, _, _, z[i], _, info = _gees(lambda x: None, a[i], lwork=lwork)
-        if info > 0:
-            raise NumericalError(f"Schur form not found (LAPACK gees info {info})")
+        t[i], z[i] = _gees_form(a[i], lwork)
+    return t, z
+
+
+def _gees_form(a: np.ndarray, lwork: int):
+    """One real Schur form by `gees`; NumericalError when LAPACK finds none."""
+    t, _, _, _, z, _, info = _gees(lambda x: None, a, lwork=lwork)
+    if info > 0:
+        raise NumericalError(f"Schur form not found (LAPACK gees info {info})")
+    return t, z
+
+
+def _schur_abscissa(a: np.ndarray):
+    """`_schur`'s forms and max Re eig(A), read from diag(T): LAPACK gives each 2x2
+    block of T equal diagonal entries, its pair's real part."""
+    t, z = _schur(a)
     return t, z, np.diagonal(t, axis1=-2, axis2=-1).max(axis=-1)
 
 
 def _lyap_schur(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve A P + P A' + W = 0 for each A = Z T Z' of the stack `t` (Bartels-Stewart):
-    z or w (not both) may be one matrix for every entry; only `trsyl` runs per entry."""
-    y, scale = -(z.swapaxes(-1, -2) @ w @ z), np.empty(len(t))
-    for i, ti in enumerate(t):
+    """Solve A P + P A' + W = 0 for each A = Z T Z' over the stack Z' W Z (Bartels-Stewart):
+    t may be one matrix for every entry, as may z or w (not both); only `trsyl` runs per entry."""
+    y = -(z.swapaxes(-1, -2) @ w @ z)
+    scale = np.empty(len(y))
+    for i, ti in enumerate((t,) * len(y) if t.ndim == 2 else t):
         y[i], scale[i], _ = _trsyl(ti, ti, y[i], tranb="T")
     p = (z @ y @ z.swapaxes(-1, -2)) / scale[:, None, None]
     return 0.5 * (p + p.swapaxes(1, 2))

@@ -66,6 +66,7 @@ __all__ = [
 
 MU_PATH = 10.0 ** -np.arange(0.0, 8.1, 0.5)   # barrier weights of the path, 1 to 1e-8
 NEWTON_STEPS = 10         # most Newton steps at one barrier weight
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _factor(m: np.ndarray):
     except LinAlgError:
         return None
     rel = min(c.diagonal() ** 2 / m.diagonal(), default=math.inf)
-    return c if rel > len(m) * np.finfo(float).eps else None
+    return c if rel > len(m) * _EPS else None
 
 
 def _admissibility(compact: CompactPlant, lam: np.ndarray):
@@ -164,7 +165,7 @@ def _admissibility(compact: CompactPlant, lam: np.ndarray):
         return -math.inf, mult, None
     if compact.ktilde == 0:
         return math.inf, mult, c
-    gap = np.eye(compact.J.shape[1]) - compact.J.T @ mult.M @ compact.J
+    gap = compact.j_identity - compact.J.T @ mult.M @ compact.J
     return float(_eigvalsh(0.5 * (gap + gap.T)).min()), mult, c
 
 
@@ -186,14 +187,10 @@ def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPai
     output Cp0 to the delayed readout Ca (experimental variant; the published
     gains correspond to the default Cp0 target).
     """
-    aug = compact.aug
-    n, m, g = compact.n, compact.m, compact.g
-    tau = point.tau
-    target = aug.Ca if delayed_target else aug.Cp0
-    sel = np.diag(np.repeat([1.0, 0.0], (m, g)))        # I_m on the estimated outputs
-    r = target.T @ target + tau * compact.Ct1.T @ mult.N @ compact.Ct1
-    gmat = sel + tau * compact.Dt12.T @ mult.N @ compact.Dt12
-    gam = -np.hstack([target.T, np.zeros((n, g))]) + tau * compact.Ct1.T @ mult.N @ compact.Dt12
+    tau, (gram, gam0) = point.tau, compact.targets[delayed_target]
+    r = gram + tau * compact.Ct1.T @ mult.N @ compact.Ct1
+    gmat = compact.selector + tau * compact.Dt12.T @ mult.N @ compact.Dt12
+    gam = gam0 + tau * compact.Ct1.T @ mult.N @ compact.Dt12
     return r, gmat, gam
 
 
@@ -228,7 +225,7 @@ def _lambda_terms(compact: CompactPlant, lam: np.ndarray) -> _PointTerms:
             f"scaling point is infeasible (margin {margin:.3e})", margin=margin
         )
     z = len(c) - compact.l - compact.g                  # D has l + g rows
-    bp = (compact.Bt1 if compact.ktilde else compact.Bp1w) @ compact.frame
+    bp = compact.noise_frame
     uv = _solve(c, bp.T).T
     u, v, c22 = uv[:, :z], uv[:, z:], c[z:, z:]
     return _PointTerms(mult, c, u, v, bp[:, z:] - u @ c[z:, :z].T, c22 @ c22.T, u @ u.T + v @ v.T)
@@ -270,7 +267,7 @@ def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool, lam
     (r, gmat, gam), tau = cost_weights(compact, point, t.mult, delayed_target), point.tau
     ysol = solve_care(yprob := _filter_problem(compact, tau, t, r))
     ev = _eigvalsh(ysol.x)       # Y > 0 to working precision, relative to its norm
-    if not ev[0] > len(ev) * np.finfo(float).eps * ev[-1]:
+    if not ev[0] > len(ev) * _EPS * ev[-1]:
         raise InfeasibleError(
             "filter Riccati solution is not positive definite at this scaling point")
     if _eigvalsh(0.5 * (gmat + gmat.T)).min() <= 0:

@@ -427,7 +427,8 @@ class TestProcess:
     def test_commands_leave_scipy_linalg_unloaded(self, tmp_path):
         """numkernel loads SciPy's LAPACK extension by itself: no command imports the
         scipy.linalg package, whose import pulls in numpy.f2py and numpy.testing and
-        took about 40% of a one-command process's wall time."""
+        took about 40% of a one-command process's wall time, nor the scipy package,
+        whose own __init__ pulls in subprocess and sysconfig."""
         code = ("import sys\n"
                 "from rflsmooth import cli\n"
                 "from rflsmooth.config import bundled_example_path, compact_from_config, load_config\n"
@@ -435,7 +436,7 @@ class TestProcess:
                 "for argv in (['synth'], ['sweep', '--grid', '5'], ['reproduce-paper'],\n"
                 "             ['mc', '--runs', '4']):\n"
                 "    assert cli.main([*argv, '--out-dir', sys.argv[1] + '/' + argv[0]]) == 0\n"
-                "print([m for m in ('scipy.linalg', 'scipy._lib._util', 'numpy.f2py')\n"
+                "print([m for m in ('scipy', 'scipy.linalg', 'scipy._lib._util', 'numpy.f2py')\n"
                 "       if m in sys.modules])")
         assert run_python(["-c", code, str(tmp_path)]).stdout.splitlines()[-1] == "[]"
 

@@ -532,6 +532,29 @@ class TestSmallLapack:
             with pytest.raises(np.linalg.LinAlgError):
                 getattr(np.linalg, fn.__name__.lstrip("_"))(*args)
 
+    def test_failures_keep_the_message_and_the_callers_error_state(self):
+        """Each helper fails with numpy.linalg's own message, and neither a success nor a
+        failure leaves its error state behind, also inside the caller's errstate."""
+        singular, spd = np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[2.0, 1.0], [1.0, 2.0]])
+        cases = (("solve", (singular, np.ones(2)), (spd, np.ones(2))),
+                 ("solve", (singular, np.eye(2)), (spd, np.eye(2))),
+                 ("inv", (singular,), (spd,)),
+                 ("cholesky", (-np.eye(2),), (spd,)),
+                 ("eigvalsh", (np.full((3, 3), np.nan),), (spd,)),
+                 ("eigvals", (np.array([[1.0, np.nan], [0.0, 1.0]]),), (singular,)))
+        for outer in ({}, {"all": "raise"}, {"all": "ignore", "call": print}):
+            with np.errstate(**outer):
+                caller = np.geterr(), np.geterrcall()
+                for name, bad, good in cases:
+                    mine = getattr(numkernel, "_" + name)
+                    with pytest.raises(np.linalg.LinAlgError) as want:
+                        getattr(np.linalg, name)(*bad)
+                    with pytest.raises(np.linalg.LinAlgError, match=f"^{want.value}$"):
+                        mine(*bad)
+                    assert (np.geterr(), np.geterrcall()) == caller
+                    mine(*good)
+                    assert (np.geterr(), np.geterrcall()) == caller
+
     def test_frobenius_norms_keep_their_bits(self):
         """_frobenius, care_residual and care_threshold sum the squares as np.linalg.norm
         does."""

@@ -14,7 +14,7 @@ from rflsmooth.config import bundled_example_path, compact_from_config, load_con
 from rflsmooth.covariance import build_closed_loop, delta_sweep
 from rflsmooth.delay import identity_delay, pade_delay
 from rflsmooth.errors import CouplingError, InfeasibleError, ToolkitError
-from rflsmooth.example import REFERENCE, phase_estimation_compact
+from rflsmooth.example import REFERENCE, phase_estimation_compact, phase_estimation_plant
 from rflsmooth.model import UncertainPlant, augment_with_delay, build_compact
 from rflsmooth.numkernel import (RiccatiProblem, care_residual, care_threshold, solve_care,
                                  spectral_radius)
@@ -468,6 +468,42 @@ def test_delayed_target_variant(paper_compact, reference_point, paper_solution):
     assert abs(sol.Cc[0, 1]) > 100.0          # delay-state extraction
     assert abs(paper_solution.Cc[0, 1]) < 1e-6
     assert sol.rho_yx < reference_point.tau
+
+
+def test_derived_plant_values_follow_replace(params, reference_point):
+    """The sizes and constants a CompactPlant derives on first use are no fields:
+    after `dataclasses.replace` of Ct1, of aug, or of Bt1 with its J, the new plant
+    derives its own, equal to those of a plant built fresh from the same matrices."""
+    plant = phase_estimation_plant(params)
+
+    def built(order=2, realization="paper", **scaled):
+        changed = dataclasses.replace(plant, **{name: tuple(2.0 * m for m in getattr(plant, name))
+                                               for name in scaled})
+        return build_compact(augment_with_delay(changed, pade_delay(order, params.delta,
+                                                                    realization=realization)))
+
+    def sizes(c):
+        return [getattr(c, name) for name in ("n", "m", "l", "g", "k", "ktilde", "h", "r", "p")]
+
+    def derived(c):
+        terms = synthesis._lambda_terms(c, reference_point.lam)
+        weights = [cost_weights(c, reference_point, terms.mult, delayed) for delayed in (0, 1)]
+        arrays = [terms.mult.M, terms.mult.N, terms.c, terms.u, terms.v, terms.k, terms.einv,
+                  terms.wxx, *itertools.chain(*weights)]
+        return sizes(c), arrays
+
+    base = built()
+    derived(base)                                   # every derived value is now cached
+    bigger = built(order=3, realization="balanced")
+    assert sizes(dataclasses.replace(base, aug=bigger.aug)) == sizes(bigger) != sizes(base)
+    for fresh, change in (((c := built(C1_nl=1, C1_unc=1)), {"Ct1": c.Ct1}),
+                          ((c := built(realization="balanced")), {"aug": c.aug}),
+                          ((c := built(B1_nl=1, B1_unc=1)), {"Bt1": c.Bt1, "J": c.J})):
+        new = dataclasses.replace(base, **change)
+        (got_sizes, got), (want_sizes, want) = derived(new), derived(fresh)
+        assert new.plant is new.aug.plant and got_sizes == want_sizes
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        assert not all(np.array_equal(a, b) for a, b in zip(got, derived(base)[1]))
 
 
 class TestMinimizeBound:
