@@ -53,6 +53,11 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _json(doc) -> str:
+    """An artifact's JSON text, strict (RFC 8259): a non-finite float raises ValueError."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_manifest(out_dir: Path, command: str, config: str, seed, artifacts):
     manifest = {
         "command": command,
@@ -64,7 +69,7 @@ def _write_manifest(out_dir: Path, command: str, config: str, seed, artifacts):
         "checksums": {p.name: _sha256(p) for p in artifacts},
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    path.write_text(_json(manifest), encoding="utf-8")
     return path
 
 
@@ -133,11 +138,11 @@ def cmd_mc(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "monte_carlo.json"
-    readouts = {name: {key: getattr(rep, key) for key in
+    readouts = {name: {key: value for key, value in rep.to_dict().items() if key in
                        ("error_covariance", "standard_error", "runs_completed")}
                 for name, rep in report.readouts.items()}
     doc_out = {"config": dict(cfg.__dict__), **report.to_dict(), "readouts": readouts}
-    out.write_text(json.dumps(doc_out, indent=2, sort_keys=True), encoding="utf-8")
+    out.write_text(_json(doc_out), encoding="utf-8")
     artifacts = [out]
     if args.save_errors:
         err_path = out_dir / "errors.csv"
@@ -164,7 +169,7 @@ def cmd_reproduce(args) -> int:
     sweep_rows = report.pop("sweep")
 
     report_path = out_dir / "reproduction.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    report_path.write_text(_json(report), encoding="utf-8")
     synth_path = out_dir / "synthesis.json"
     synth_path.write_text(solution_to_json(sol), encoding="utf-8")
     sweep_path = out_dir / "sweep.csv"

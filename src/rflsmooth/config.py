@@ -52,11 +52,12 @@ def bundled_example_path() -> Path:
 
 
 def load_config(path) -> dict:
-    """Parse a configuration file into {section: {key: parsed value}}."""
+    """Parse a configuration file into {section: {key: parsed value}}.  Values are
+    JSON literals, read as written: INI interpolation is off, so `%` is kept."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"configuration file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -41,7 +41,7 @@ def matrix_check(name, computed, reference, rtol=GAIN_RTOL, sig_frac=SIG_FRAC):
     computed = np.asarray(computed, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if computed.shape != reference.shape:
-        return {"name": name, "passed": False, "worst_rel": float("inf"),
+        return {"name": name, "passed": False, "worst_rel": None,
                 "compared": 0, "detail": f"shape {computed.shape} != {reference.shape}"}
     threshold = sig_frac * np.linalg.norm(reference, "fro")
     mask = np.abs(reference) > threshold

@@ -102,9 +102,9 @@ class SimConfig:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
         if self.estimator not in ("smoother", "ngcf"):
-            raise ValueError(f"unknown estimator mode {self.estimator!r}")
+            raise ValueError(f"estimator = {self.estimator!r} is not 'smoother' or 'ngcf'")
         if self.compare not in ("delayed", "undelayed"):
-            raise ValueError(f"unknown comparison mode {self.compare!r}")
+            raise ValueError(f"compare = {self.compare!r} is not 'delayed' or 'undelayed'")
 
     @property
     def nsteps(self) -> int:
@@ -164,8 +164,10 @@ class MonteCarloReport:
     readouts: dict = None     # READOUTS name -> report from the same runs
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-                if f.name not in ("errors", "readouts")}
+        """The statistics as JSON holds them: None for a non-finite one (the
+        standard error of fewer than two runs, the level of none)."""
+        return {f.name: None if isinstance(v := getattr(self, f.name), float) and not math.isfinite(v)
+                else v for f in dataclasses.fields(self) if f.name not in ("errors", "readouts")}
 
 
 def run_generator(master_seed: int, run_index: int) -> np.random.Generator:

@@ -31,18 +31,21 @@ Bp1w, and the filter Riccati is the Kalman filter's.
 A scaling point is evaluated along one path, `_gains`: `_lambda_terms` tests
 admissibility and forms lambda's multipliers (from the term stacks `build_compact`
 precomputes) and scaled noise, tau adds its cost weights, and both Riccati
-solves read them.  The point's `_PointTerms` keep what `_gains` built for V's
-exact gradient (`_bound_gradient`), which rebuilds none of it; a start's golden
-search over tau forms its lambda's terms once.  A point that gives no bound
-raises a `ToolkitError`, never a bare LAPACK error.
+solves read them.  It returns the bound (`_Bound`: Y, X, V_tau, certificates)
+and the point's `_PointTerms`, all that V's exact gradient (`_bound_gradient`)
+reads; a start's golden search over tau forms its lambda's terms once.
+`_estimator` assembles Ac, Bc~ and Cc~ from them once per `compute_gains`, and
+once per search at its lowest V.  A point that gives no bound raises a
+`ToolkitError`, never a bare LAPACK error.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -67,6 +70,14 @@ __all__ = [
 MU_PATH = 10.0 ** -np.arange(0.0, 8.1, 0.5)   # barrier weights of the path, 1 to 1e-8
 NEWTON_STEPS = 10         # most Newton steps at one barrier weight
 _EPS = np.finfo(float).eps
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int, m: int = None) -> np.ndarray:
+    """np.eye(n, m), built once per size and read-only, as every caller shares it."""
+    eye = np.eye(n, m)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,7 @@ def _admissibility(compact: CompactPlant, lam: np.ndarray):
     if lam.size != compact.ktilde or np.any(lam < 0):
         return -math.inf, None, None
     mult, p = assemble_multipliers(compact, lam), compact.frame
-    c = _factor(p.T @ (mult.M if compact.ktilde else np.eye(len(p))) @ p)
+    c = _factor(p.T @ (mult.M if compact.ktilde else _eye(len(p))) @ p)
     if c is None:
         return -math.inf, mult, None
     if compact.ktilde == 0:
@@ -194,27 +205,14 @@ def cost_weights(compact: CompactPlant, point: ScalingPoint, mult: MultiplierPai
     return r, gmat, gam
 
 
-@dataclass(frozen=True)
-class _PointTerms:
-    """A scaling point's terms, in three stages: lambda's multipliers and scaled
-    noise (C, U, V, K, E^-1, Wxx = U U' + V V'; see the module docstring), tau's
-    cost weights (R, G, Gam), and what `_gains` built from them: the filter and
-    cost Riccati problems, G^-1 Gam' and `_bound_tail`'s (Bc~, (I - YX/tau)^-1, P)."""
-
-    mult: MultiplierPair
-    c: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    k: np.ndarray
-    einv: np.ndarray
-    wxx: np.ndarray
-    r: np.ndarray = None
-    gmat: np.ndarray = None
-    gam: np.ndarray = None
-    yprob: RiccatiProblem = None
-    xprob: RiccatiProblem = None
-    g_gam: np.ndarray = None
-    tail: tuple = None
+# A scaling point's terms, in three stages: lambda's multipliers and scaled noise
+# (C, U, V, K, E^-1, Wxx = U U' + V V'; see the module docstring), tau's cost weights
+# (R, G, Gam), and what `_gains` built from them: the filter and cost Riccati problems,
+# G^-1 Gam' and `_bound_tail`'s (Bc~, (I - YX/tau)^-1, P).
+_PointTerms = namedtuple("_PointTerms", "mult c u v k einv wxx r gmat gam yprob xprob g_gam tail",
+                         defaults=(None,) * 7)
+# What `_gains` evaluates at a scaling point: both Riccati solutions, V_tau and its certificates.
+_Bound = namedtuple("_Bound", "point Y X Vtau rho_yx residual_y residual_x")
 
 
 def _lambda_terms(compact: CompactPlant, lam: np.ndarray) -> _PointTerms:
@@ -248,7 +246,7 @@ def _bound_tail(compact: CompactPlant, t: _PointTerms, y, x, tau):
     yc = y @ compact.Ct2.T
     ye = yc @ t.einv
     p = ye @ yc.T + (f := yc @ t.k.T) + f.T + t.v @ t.v.T
-    return ye + t.k, _inv(np.eye(compact.n) - (y @ x) / tau), p
+    return ye + t.k, _inv(_eye(compact.n) - (y @ x) / tau), p
 
 
 def compute_gains(compact: CompactPlant, point: ScalingPoint,
@@ -257,12 +255,12 @@ def compute_gains(compact: CompactPlant, point: ScalingPoint,
     Ac, Bc~, Cc~ and the cost bound.  Enforces admissibility, the residual
     thresholds and the coupling condition rho(Y X) < tau, in that order.
     """
-    return _gains(compact, point, delayed_target)[0]
+    return _estimator(compact, *_gains(compact, point, delayed_target))
 
 
 def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool, lam_terms=None):
-    """`compute_gains`'s solution with its terms, from `lam_terms` (point.lam's
-    `_lambda_terms`) if given."""
+    """`compute_gains`'s bound (a `_Bound`) with its terms, from `lam_terms`
+    (point.lam's `_lambda_terms`) if given; the estimator is left to `_estimator`."""
     t = _lambda_terms(compact, point.lam) if lam_terms is None else lam_terms
     (r, gmat, gam), tau = cost_weights(compact, point, t.mult, delayed_target), point.tau
     ysol = solve_care(yprob := _filter_problem(compact, tau, t, r))
@@ -286,18 +284,23 @@ def _gains(compact: CompactPlant, point: ScalingPoint, delayed_target: bool, lam
             f"coupling condition violated: rho(YX) = {rho:.6e} >= tau = {tau:.6e}",
             rho=rho, tau=tau,
         )
-    bc, corr, p = tail = _bound_tail(compact, t, y, x, tau)
-    v = float(0.5 * np.trace(y @ r + p @ x @ corr))
-    cc = -g_gam @ corr
-    ac = (compact.aug.Ap + (y @ r) / tau - bc @ compact.Ct2 - (y @ gam @ g_gam @ corr) / tau)
-    return SynthesisSolution(
-        point=point, Y=y, X=x, Ac=ac, Bc_tilde=bc, Cc_tilde=cc,
-        Ca=compact.aug.Ca.copy(), Vtau=v, rho_yx=rho,
-        residual_y=ysol.residual, residual_x=xsol.residual, m=compact.m, l=compact.l,
-    ), _PointTerms(t.mult, t.c, t.u, t.v, t.k, t.einv, t.wxx, r, gmat, gam, yprob, xprob, g_gam, tail)
+    _, corr, p = tail = _bound_tail(compact, t, y, x, tau)
+    v = float(0.5 * (y @ r + p @ x @ corr).trace())
+    return (_Bound(point, y, x, v, rho, ysol.residual, xsol.residual),
+            _PointTerms(t.mult, t.c, t.u, t.v, t.k, t.einv, t.wxx, r, gmat, gam, yprob, xprob,
+                        g_gam, tail))
 
 
-def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerms):
+def _estimator(compact: CompactPlant, bound: _Bound, t: _PointTerms) -> SynthesisSolution:
+    """The estimator at a point `_gains` evaluated, from the bound and terms it returned:
+    Ac, Cc~ = -G^-1 Gam' (I - YX/tau)^-1 and a copy of the readout Ca."""
+    y, tau, (bc, corr, _) = bound.Y, bound.point.tau, t.tail
+    ac = (compact.aug.Ap + (y @ t.r) / tau - bc @ compact.Ct2 - (y @ t.gam @ t.g_gam @ corr) / tau)
+    return SynthesisSolution(**bound._asdict(), Ac=ac, Bc_tilde=bc, Cc_tilde=-t.g_gam @ corr,
+                             Ca=compact.aug.Ca.copy(), m=compact.m, l=compact.l)
+
+
+def _bound_gradient(compact: CompactPlant, bound: _Bound, t: _PointTerms):
     """Exact gradient of V_tau in (log tau, log lambda) at a point `_gains`
     evaluated, from the terms it returned.
 
@@ -308,16 +311,16 @@ def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerm
     (I - YX/tau)^-1 and V_tau.  Derivatives are stacked on a leading axis:
     log tau first, then each log lambda_i.
     """
-    point, y, x = sol.point, sol.Y, sol.X
+    point, y, x = bound.point, bound.Y, bound.X
     tau, w, kt = point.tau, point.lam[:, None, None], compact.ktilde
     ct1, dt12, ct2 = compact.Ct1, compact.Dt12, compact.Ct2
-    dlt = np.eye(kt + 1, 1)[:, :, None]                     # d log tau
-    mt = partial(np.swapaxes, axis1=1, axis2=2)              # transpose each entry
+    dlt = _eye(kt + 1, 1)[:, :, None]                       # d log tau
 
     # cost weights through d(tau N); scaled noise through Om: dWxx = -[U V] Om [U V]',
     # d(U U') = -U Om11 U', dK = -U Om12 C22' and d(E^-1) = C22 Om22 C22'
     dtn = tau * np.concatenate([t.mult.N[None], w * compact.N_stack])
-    dr, dg, dgam = ct1.T @ dtn @ ct1, dt12.T @ dtn @ dt12, ct1.T @ dtn @ dt12
+    ctn = ct1.T @ dtn
+    dr, dg, dgam = ctn @ ct1, dt12.T @ dtn @ dt12, ctn @ dt12
     z = t.u.shape[1]
     c22, uv = t.c[z:, z:], np.hstack([t.u, t.v])
     om = np.zeros((kt + 1,) + t.c.shape)
@@ -329,20 +332,20 @@ def _bound_gradient(compact: CompactPlant, sol: SynthesisSolution, t: _PointTerm
 
     # filter: a = At', S = R/tau - Ct2' E^-1 Ct2, Q = U U'
     ds = (dr - dlt * t.r) / tau - ct2.T @ deinv @ ct2
-    fy = -y @ ct2.T @ mt(dk)
-    dy = care_sensitivity(t.yprob, y, fy + mt(fy) + y @ ds @ y + dw)
+    fy = -y @ ct2.T @ dk.swapaxes(1, 2)
+    dy = care_sensitivity(t.yprob, y, fy + fy.swapaxes(1, 2) + y @ ds @ y + dw)
 
     # estimation cost: a = Ap, S = -Wxx/tau, Q = R - Gam G^-1 Gam'
-    dq = dr - (f := dgam @ t.g_gam) - mt(f) + t.g_gam.T @ dg @ t.g_gam
+    dq = dr - (f := dgam @ t.g_gam) - f.swapaxes(1, 2) + t.g_gam.T @ dg @ t.g_gam
     dx = care_sensitivity(t.xprob, x, x @ ((dlt * t.wxx - dwxx) / tau) @ x + dq)
 
     # V = tr(Y R + P X corr) / 2 with P = Bc~ E Bc~' (`_bound_tail`); d(V V') = dWxx - d(U U')
     bc, corr, p = t.tail
     dcorr = corr @ ((dy @ x + y @ dx - dlt * (y @ x)) / tau) @ corr
     yc = y @ ct2.T
-    dp = (f := dy @ ct2.T @ bc.T + dk @ yc.T) + mt(f) + yc @ deinv @ yc.T + dwxx - dw
-    dv = 0.5 * np.trace(dy @ t.r + y @ dr + dp @ x @ corr + p @ dx @ corr + p @ x @ dcorr,
-                        axis1=1, axis2=2)
+    dp = (f := dy @ ct2.T @ bc.T + dk @ yc.T) + f.swapaxes(1, 2) + yc @ deinv @ yc.T + dwxx - dw
+    dv = 0.5 * (dy @ t.r + y @ dr + dp @ x @ corr + p @ dx @ corr + p @ x @ dcorr).trace(
+        axis1=1, axis2=2)
     if not np.isfinite(dv).all():
         raise NumericalError("cost bound gradient is not finite")
     return dv
@@ -364,7 +367,7 @@ def _barrier(m_terms, s_terms, bounds, x, derivatives=True):
     if `derivatives`; None outside the open set, whose M > 0 and I - J'MJ > 0 are `_factor`'s."""
     lam, t = x[1:], np.array([x[0] - bounds[0], bounds[1] - x[0]])
     w = lam[:, None, None]
-    m, s = (w * m_terms).sum(axis=0), np.eye(s_terms.shape[1]) - (w * s_terms).sum(axis=0)
+    m, s = (w * m_terms).sum(axis=0), _eye(s_terms.shape[1]) - (w * s_terms).sum(axis=0)
     if (t.min() <= 0 or lam.min(initial=np.inf) <= 0 or (f := _factor(m)) is None
             or (fs := _factor(s)) is None):
         return None
@@ -373,8 +376,8 @@ def _barrier(m_terms, s_terms, bounds, x, derivatives=True):
     if not derivatives:
         return value
     a, c = _solve(m, m_terms), _solve(s, s_terms)
-    grad = np.concatenate(([1.0 / t[1] - 1.0 / t[0]], np.trace(c, axis1=1, axis2=2)
-                           - np.trace(a, axis1=1, axis2=2) - 1.0 / lam))
+    grad = np.concatenate(([1.0 / t[1] - 1.0 / t[0]], c.trace(axis1=1, axis2=2)
+                           - a.trace(axis1=1, axis2=2) - 1.0 / lam))
     hess = np.zeros((x.size, x.size))
     hess[0, 0] = (t ** -2.0).sum()
     hess[1:, 1:] = (np.einsum("iab,jba->ij", a, a) + np.einsum("iab,jba->ij", c, c)
@@ -394,14 +397,15 @@ def _backtrack(fun, x, f, d, slope):
 def _bfgs(h, s, y):
     """Damped (Powell) BFGS update of the Hessian model h by a step s and its
     gradient change y; a zero model starts as the scaled identity y'y/s'y."""
-    if not h.any() and s @ y > 0:
-        h = (y @ y / (s @ y)) * np.eye(s.size)
+    sy = s @ y
+    if not h.any() and sy > 0:
+        h = (y @ y / sy) * _eye(s.size)
     hs = h @ s
-    if not s @ hs > 0:
+    if not (shs := s @ hs) > 0:
         return h
-    theta = 0.8 * (s @ hs) / (s @ hs - s @ y) if s @ y < 0.2 * (s @ hs) else 1.0
+    theta = 0.8 * shs / (shs - sy) if sy < 0.2 * shs else 1.0
     r = theta * y + (1.0 - theta) * hs
-    return h + np.outer(r, r) / (s @ r) - np.outer(hs, hs) / (s @ hs)
+    return h + np.outer(r, r) / (s @ r) - np.outer(hs, hs) / shs
 
 
 def _golden(f, a, b, tol=1e-4):
@@ -447,16 +451,17 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
     barrier = partial(_barrier, p.T @ m_terms @ p, compact.J.T @ m_terms @ compact.J, bounds)
 
     def evaluate(x, lam_terms=None):
-        """(V, (solution, terms)) at x, from x's `lam_terms` if given; (inf, None) if it raises."""
+        """(V, (bound, terms)) at x, from x's `lam_terms` if given; (inf, None) if it raises."""
         nonlocal best, evaluations
         evaluations += 1
         try:
-            sol, terms = _gains(compact, ScalingPoint(lam=x[1:], tau=math.exp(x[0])),
-                                delayed_target, lam_terms)
+            evaluated = _gains(compact, ScalingPoint(lam=x[1:], tau=math.exp(x[0])),
+                               delayed_target, lam_terms)
         except (InfeasibleError, NumericalError):
             return math.inf, None
-        best = sol if best is None or sol.Vtau < best.Vtau else best
-        return sol.Vtau, (sol, terms)
+        if best is None or evaluated[0].Vtau < best[0].Vtau:
+            best = evaluated
+        return evaluated[0].Vtau, evaluated
 
     def gradient(evaluated):
         """V's gradient in (log tau, log lambda) at an evaluated point; None if it raises."""
@@ -534,7 +539,8 @@ def minimize_bound(compact: CompactPlant, *, tau_bounds=(1e-8, 1e-3),
         follow(np.concatenate(([s], lam0)), evaluated)
     if best is None:
         raise InfeasibleError("no scaling point in the search gives a bound")
-    return OptimizationResult(point=best.point, solution=best, vtau=best.Vtau, trace=trace,
+    sol = _estimator(compact, *best)
+    return OptimizationResult(point=sol.point, solution=sol, vtau=sol.Vtau, trace=trace,
                               evaluations=evaluations)
 
 
@@ -561,4 +567,4 @@ def solution_to_json(sol: SynthesisSolution, extra: dict = None) -> str:
     }
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,31 @@ class TestCli:
         doc = json.loads((out / "synthesis.json").read_text())
         assert max(abs(v) for v in doc["X"]["data"]) <= 1e-12
 
+    def test_percent_in_a_value_is_read_as_written(self, tmp_path, capsys):
+        """Values are JSON literals with no INI interpolation: `%` and `%%` are kept,
+        a `%` in a bad value fails as a bad value (exit 2, naming the key), and a
+        section no command reads leaves every artifact's bytes as they were."""
+        base = fast_config(tmp_path).read_text()
+        notes = tmp_path / "notes.cfg"
+        notes.write_text(base + '[notes]\ntext = "100%% of %(order)s"\nrate = "5%"\n')
+        assert load_config(notes)["notes"] == {"text": "100%% of %(order)s", "rate": "5%"}
+        for name, cfg in (("plain", fast_config(tmp_path)), ("notes", notes)):
+            assert cli.main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "plain" / "synthesis.json").read_bytes()
+                == (tmp_path / "notes" / "synthesis.json").read_bytes())
+        capsys.readouterr()
+
+        compare = tmp_path / "compare.cfg"
+        compare.write_text(base + 'compare = "del%ayed"\n')
+        assert cli.main(["validate", "--config", str(compare)]) == cli.EXIT_CONFIG
+        assert "compare = 'del%ayed'" in capsys.readouterr().err
+        bad = fast_config(tmp_path, "n_starts = 8%\n")
+        for command in ("validate", "synth"):
+            code = cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            assert "[synthesis] n_starts is not a JSON literal: '8%'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_validate_ok_and_missing(self, tmp_path):
         assert cli.main(["validate"]) == 0
         code = cli.main(["validate", "--config", str(tmp_path / "gone.cfg")])
@@ -236,6 +262,28 @@ class TestCli:
         assert doc["readouts"]["delayed"] == {key: doc[key] for key in
                                               ("error_covariance", "standard_error",
                                                "runs_completed")}
+
+    @pytest.mark.parametrize("runs, extra, finite", [
+        ("1", "", ("error_covariance",)), ("2", "divergence_guard = 1e-12\n", ())])
+    def test_mc_statistic_without_a_value_is_null(self, tmp_path, runs, extra, finite):
+        """One run has no standard error and no completed run no level: monte_carlo.json
+        writes null for them, never a bare Infinity or NaN, and parses as strict JSON."""
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(fast_config(tmp_path).read_text() + extra)
+        out = tmp_path / "mc"
+        assert cli.main(["mc", "--config", str(cfg), "--paper-realization", "--runs", runs,
+                         "--out-dir", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        doc = json.loads((out / "monte_carlo.json").read_text(), parse_constant=reject)
+        for stats in (doc, *doc["readouts"].values()):
+            assert stats["standard_error"] is None
+            assert all(math.isfinite(stats[key]) for key in finite)
+            assert (stats["error_covariance"] is None) == (not finite)
+        with pytest.raises(ValueError):
+            cli._json({"standard_error": math.inf})
 
     def test_mc_writes_every_readout_of_one_pass(self, tmp_path):
         """The filter readout of a smoother run is the headline of a filter

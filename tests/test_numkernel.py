@@ -121,6 +121,86 @@ class TestLapackLoader:
         assert "scipy.linalg._flapack" not in sys.modules
 
 
+class TestRiccatiProblem:
+    """The problem's conversions and checks: a 2-D float64 array is held as the
+    same object, and Q and S pass when exactly symmetric or within `_SYM_TOL`."""
+
+    @staticmethod
+    def within_tolerance(m):
+        """The tolerance test as written, with non-finite entries as they fall."""
+        with np.errstate(invalid="ignore"):
+            return not np.abs(m - m.T).max() > numkernel._SYM_TOL * (1.0 + np.abs(m).max())
+
+    def test_float64_matrices_are_held_as_given(self):
+        a, q, s = np.eye(3), np.ones((3, 3)), np.asfortranarray(-np.eye(3))
+        prob = RiccatiProblem(a=a, q=q, s=s)
+        assert prob.a is a and prob.q is q and prob.s is s
+
+    @pytest.mark.parametrize("value, shape", [
+        ([[1, 2], [2, 1]], (2, 2)), (3, (1, 1)), (np.float32(2.5), (1, 1)),
+        (np.array(4), (1, 1)), (np.array([5.0]), (1, 1)),
+        (np.array([[1, 0], [0, 1]], dtype=np.int32), (2, 2)),
+        (np.eye(2, dtype=np.float32), (2, 2)), (np.eye(2).astype(">f8"), (2, 2))])
+    def test_other_inputs_are_converted(self, value, shape):
+        prob = RiccatiProblem(a=value, q=value, s=value)
+        expected = np.atleast_2d(np.asarray(value, dtype=float))
+        for m in (prob.a, prob.q, prob.s):
+            assert type(m) is np.ndarray and m.dtype == np.float64 and m.shape == shape
+            np.testing.assert_array_equal(m, expected)
+
+    def test_shape_checked_first(self):
+        with pytest.raises(ValueError, match="must be square and of equal size"):
+            RiccatiProblem(a=np.eye(2), q=[[0.0, 1.0]], s=np.eye(2))
+        with pytest.raises(ValueError, match="must be square and of equal size"):
+            RiccatiProblem(a=np.array([1.0, 2.0]), q=np.eye(2), s=np.eye(2))
+        with pytest.raises(ValueError):           # an empty problem raises as it always did
+            RiccatiProblem(a=np.zeros((0, 0)), q=np.zeros((0, 0)), s=np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("name", ["Q", "S"])
+    @pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+    def test_asymmetry_against_the_tolerance(self, name, factor, raises):
+        m = np.array([[2.0, 1.0], [1.0, -3.0]])
+        m[0, 1] += factor * numkernel._SYM_TOL * (1.0 + 3.0)
+        mats = {"q": np.eye(2), "s": np.eye(2), name.lower(): m}
+        if raises:
+            message = f"{name} is not symmetric to tolerance {numkernel._SYM_TOL}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                RiccatiProblem(a=np.eye(2), **mats)
+        else:
+            RiccatiProblem(a=np.eye(2), **mats)
+
+    def test_q_is_checked_before_s(self):
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="^Q is not symmetric"):
+            RiccatiProblem(a=np.eye(2), q=bad, s=bad)
+
+    def test_non_finite_entries_as_the_tolerance_test_reads_them(self):
+        """A matrix passes or raises as `within_tolerance` says: one with a NaN or inf
+        entry passes (the largest difference is NaN, or the bound is infinite), a
+        finite one raises when an entry moved by 1 broke its symmetry."""
+        rng, seen = np.random.default_rng(3), set()
+        for _ in range(400):
+            m = rng.standard_normal((3, 3))
+            m = m + m.T
+            for _ in range(rng.integers(1, 4)):
+                i, j = rng.integers(0, 3, size=2)
+                m[i, j] = rng.choice([np.nan, np.inf, -np.inf, m[i, j] + 1.0])
+                if rng.random() < 0.5:
+                    m[j, i] = m[i, j]
+            expected = self.within_tolerance(m)
+            seen.add((expected, bool(np.isfinite(m).all())))
+            assert expected or np.isfinite(m).all()
+            for slot in ("q", "s"):
+                mats = {"q": np.eye(3), "s": np.eye(3), slot: m}
+                with np.errstate(invalid="ignore"):         # inf - inf in the test
+                    if expected:
+                        RiccatiProblem(a=np.eye(3), **mats)
+                    else:
+                        with pytest.raises(ValueError, match="is not symmetric to tolerance"):
+                            RiccatiProblem(a=np.eye(3), **mats)
+        assert (True, False) in seen and (False, True) in seen
+
+
 class TestCare:
     def test_scalar_pure_quadratic(self):
         sol = solve_care(RiccatiProblem(a=[[0.0]], q=[[1.0]], s=[[-1.0]]))

@@ -460,6 +460,51 @@ class TestEvaluationPath:
         assert all(p != q for p, q in zip(gains_points, gains_points[1:]))
 
 
+def assert_same_solution(a, b):
+    """Every array and float of two solutions agrees bit for bit."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "point":
+            x, y = (x.lam.tobytes(), x.tau), (y.lam.tobytes(), y.tau)
+        elif isinstance(x, np.ndarray):
+            assert x.shape == y.shape, f.name
+            x, y = x.tobytes(), y.tobytes()
+        assert x == y, f.name
+
+
+@pytest.mark.parametrize("realization, delayed_target",
+                         [("paper", False), ("balanced", False), ("paper", True)])
+def test_the_search_assembles_one_estimator(params, monkeypatch, realization, delayed_target):
+    """`minimize_bound` evaluates bounds and assembles one estimator, at the lowest V:
+    it builds one `SynthesisSolution`, equal bit for bit to `compute_gains` at the point
+    it returns.  A start after the first calls none of np.eye, np.trace and np.swapaxes."""
+    compact = phase_estimation_compact(params, realization=realization)
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, count)
+
+    counted(synthesis, "SynthesisSolution")
+    result = minimize_bound(compact, n_starts=1, delayed_target=delayed_target)
+    assert calls["SynthesisSolution"] == 1 and result.evaluations > 100
+    assert_same_solution(result.solution, compute_gains(compact, result.point, delayed_target))
+    assert result.vtau == result.solution.Vtau
+
+    for name in ("eye", "trace", "swapaxes"):
+        counted(np, name)
+    calls.clear()
+    again = minimize_bound(compact, n_starts=1, delayed_target=delayed_target)
+    assert calls == {"SynthesisSolution": 1}
+    assert again.trace == result.trace and again.evaluations == result.evaluations
+    assert_same_solution(again.solution, result.solution)
+
+
 def test_delayed_target_variant(paper_compact, reference_point, paper_solution):
     """Swapping the cost target to the delayed readout moves the output row
     onto the delay states, unlike the published gains; kept as evidence for
