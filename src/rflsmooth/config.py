@@ -51,9 +51,18 @@ def bundled_example_path() -> Path:
     return Path(__file__).resolve().parent / "data" / "phase_estimation.cfg"
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and a number beyond float range raise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_config(path) -> dict:
     """Parse a configuration file into {section: {key: parsed value}}.  Values are
-    JSON literals, read as written: INI interpolation is off, so `%` is kept."""
+    JSON literals (RFC 8259: every number finite), read as written: INI
+    interpolation is off, so `%` is kept."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"configuration file not found: {path}")
@@ -68,11 +77,13 @@ def load_config(path) -> dict:
         doc[section] = {}
         for key, raw in parser.items(section):
             try:
-                doc[section][key] = json.loads(raw)
+                doc[section][key] = json.loads(raw, parse_float=_finite, parse_constant=_finite)
             except json.JSONDecodeError as exc:
                 raise ConfigError(
                     f"value of [{section}] {key} is not a JSON literal: {raw!r}"
                 ) from exc
+            except ValueError as exc:
+                raise ConfigError(f"value of [{section}] {key} is not finite: {raw!r}") from exc
     return doc
 
 

@@ -154,9 +154,8 @@ class RiccatiProblem:
     """Continuous algebraic Riccati equation  X A + A' X + X S X + Q = 0.
 
     Q is the constant term and S the (possibly sign-indefinite) quadratic
-    coefficient; both must be symmetric, to `_SYM_TOL` when not exactly.  A 2-D
-    float64 ndarray is held as given, any other input as a 2-D float array.
-    Cross and shift terms are folded into A by the caller.
+    coefficient; both must be symmetric.  Cross and shift terms are folded
+    into A by the caller.
     """
 
     a: np.ndarray
@@ -164,8 +163,9 @@ class RiccatiProblem:
     s: np.ndarray
 
     def __post_init__(self):
-        a, q, s = (m if type(m) is np.ndarray and m.ndim == 2 and m.dtype == float
-                   else np.atleast_2d(np.asarray(m, dtype=float)) for m in (self.a, self.q, self.s))
+        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        q = np.atleast_2d(np.asarray(self.q, dtype=float))
+        s = np.atleast_2d(np.asarray(self.s, dtype=float))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
@@ -173,8 +173,6 @@ class RiccatiProblem:
         if a.shape != (n, n) or q.shape != (n, n) or s.shape != (n, n):
             raise ValueError("A, Q, S must be square and of equal size")
         for name, mat in (("Q", q), ("S", s)):
-            if mat.size and (mat == mat.T).all():     # empty: max() raises, as it did
-                continue
             scale = 1.0 + np.abs(mat).max()
             if np.abs(mat - mat.T).max() > _SYM_TOL * scale:
                 raise ValueError(f"{name} is not symmetric to tolerance {_SYM_TOL}")

@@ -45,7 +45,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -70,14 +70,6 @@ __all__ = [
 MU_PATH = 10.0 ** -np.arange(0.0, 8.1, 0.5)   # barrier weights of the path, 1 to 1e-8
 NEWTON_STEPS = 10         # most Newton steps at one barrier weight
 _EPS = np.finfo(float).eps
-
-
-@lru_cache(maxsize=None)
-def _eye(n: int, m: int = None) -> np.ndarray:
-    """np.eye(n, m), built once per size and read-only, as every caller shares it."""
-    eye = np.eye(n, m)
-    eye.flags.writeable = False
-    return eye
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,7 @@ def _admissibility(compact: CompactPlant, lam: np.ndarray):
     if lam.size != compact.ktilde or np.any(lam < 0):
         return -math.inf, None, None
     mult, p = assemble_multipliers(compact, lam), compact.frame
-    c = _factor(p.T @ (mult.M if compact.ktilde else _eye(len(p))) @ p)
+    c = _factor(p.T @ (mult.M if compact.ktilde else np.eye(len(p))) @ p)
     if c is None:
         return -math.inf, mult, None
     if compact.ktilde == 0:
@@ -246,7 +238,7 @@ def _bound_tail(compact: CompactPlant, t: _PointTerms, y, x, tau):
     yc = y @ compact.Ct2.T
     ye = yc @ t.einv
     p = ye @ yc.T + (f := yc @ t.k.T) + f.T + t.v @ t.v.T
-    return ye + t.k, _inv(_eye(compact.n) - (y @ x) / tau), p
+    return ye + t.k, _inv(np.eye(compact.n) - (y @ x) / tau), p
 
 
 def compute_gains(compact: CompactPlant, point: ScalingPoint,
@@ -314,7 +306,7 @@ def _bound_gradient(compact: CompactPlant, bound: _Bound, t: _PointTerms):
     point, y, x = bound.point, bound.Y, bound.X
     tau, w, kt = point.tau, point.lam[:, None, None], compact.ktilde
     ct1, dt12, ct2 = compact.Ct1, compact.Dt12, compact.Ct2
-    dlt = _eye(kt + 1, 1)[:, :, None]                       # d log tau
+    dlt = np.eye(kt + 1, 1)[:, :, None]                     # d log tau
 
     # cost weights through d(tau N); scaled noise through Om: dWxx = -[U V] Om [U V]',
     # d(U U') = -U Om11 U', dK = -U Om12 C22' and d(E^-1) = C22 Om22 C22'
@@ -367,7 +359,7 @@ def _barrier(m_terms, s_terms, bounds, x, derivatives=True):
     if `derivatives`; None outside the open set, whose M > 0 and I - J'MJ > 0 are `_factor`'s."""
     lam, t = x[1:], np.array([x[0] - bounds[0], bounds[1] - x[0]])
     w = lam[:, None, None]
-    m, s = (w * m_terms).sum(axis=0), _eye(s_terms.shape[1]) - (w * s_terms).sum(axis=0)
+    m, s = (w * m_terms).sum(axis=0), np.eye(s_terms.shape[1]) - (w * s_terms).sum(axis=0)
     if (t.min() <= 0 or lam.min(initial=np.inf) <= 0 or (f := _factor(m)) is None
             or (fs := _factor(s)) is None):
         return None
@@ -399,7 +391,7 @@ def _bfgs(h, s, y):
     gradient change y; a zero model starts as the scaled identity y'y/s'y."""
     sy = s @ y
     if not h.any() and sy > 0:
-        h = (y @ y / sy) * _eye(s.size)
+        h = (y @ y / sy) * np.eye(s.size)
     hs = h @ s
     if not (shs := s @ hs) > 0:
         return h

@@ -43,7 +43,8 @@ def test_criterion_1_gain_reproduction():
         and build_closed_loop(compact, sol).is_hurwitz()
     )
     matched = all(r["passed"] for r in results)
-    detail = "; ".join(f"{r['name']} worst rel {r['worst_rel']:.2e}" for r in results)
+    detail = "; ".join(f"{r['name']} worst rel {r['worst_rel']:.2e}" if r["worst_rel"] is not None
+                       else f"{r['name']} {r['detail']}" for r in results)
     passed = (matched or certificates) and elapsed < 1.0
     emit(1, "gain reproduction",
          passed, f"{detail}; certificates={certificates}; runtime {elapsed:.3f}s")

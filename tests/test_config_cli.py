@@ -285,6 +285,19 @@ class TestCli:
         with pytest.raises(ValueError):
             cli._json({"standard_error": math.inf})
 
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e999", "[1.0, NaN]"])
+    def test_non_finite_value_exits_config_before_any_work(self, tmp_path, capsys, value):
+        """JSON has no non-finite number, and no artifact could hold one: a config
+        value such as divergence_guard = Infinity fails every command at load (exit 2,
+        naming the key), never after a full Monte Carlo pass."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(fast_config(tmp_path).read_text() + f"divergence_guard = {value}\n")
+        for command in ("validate", "synth", "mc"):
+            code = cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            assert f"[simulation] divergence_guard is not finite: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_mc_writes_every_readout_of_one_pass(self, tmp_path):
         """The filter readout of a smoother run is the headline of a filter
         run on the same seed, bit for bit."""
