@@ -31,7 +31,6 @@ from .numkernel import (
     RiccatiProblem,
     expm,
     solve_care,
-    solve_lyapunov,
     spectral_radius,
 )
 from .synthesis import (
@@ -43,14 +42,8 @@ from .synthesis import (
     feasible,
     minimize_bound,
 )
-from .covariance import (
-    ClosedLoopModel,
-    CovarianceReport,
-    build_closed_loop,
-    delta_sweep,
-    smoothed_error_covariance,
-)
-from .sim import MonteCarloReport, SimConfig, monte_carlo, simulate_run
+from .covariance import delta_sweep
+from .sim import MonteCarloReport, SimConfig, monte_carlo
 
 __all__ = [
     "__version__",
@@ -59,11 +52,10 @@ __all__ = [
     "CouplingError", "NumericalError", "StationarityError",
     "UncertainPlant", "AugmentedPlant", "CompactPlant",
     "validate_plant", "augment_with_delay", "build_compact",
-    "RiccatiProblem", "CareSolution", "solve_care", "solve_lyapunov",
+    "RiccatiProblem", "CareSolution", "solve_care",
     "expm", "spectral_radius",
     "ScalingPoint", "MultiplierPair", "SynthesisSolution",
     "assemble_multipliers", "feasible", "compute_gains", "minimize_bound",
-    "ClosedLoopModel", "CovarianceReport", "build_closed_loop",
-    "smoothed_error_covariance", "delta_sweep",
-    "SimConfig", "MonteCarloReport", "simulate_run", "monte_carlo",
+    "delta_sweep",
+    "SimConfig", "MonteCarloReport", "monte_carlo",
 ]

@@ -1,5 +1,5 @@
-"""Closed-loop covariance analysis: stationary Lyapunov solve, smoothed-error
-covariance evaluation, and the uncertainty sweep."""
+"""Closed-loop covariance analysis: the stationary smoothed-error and filter
+covariances over the uncertainty range, every loop of a sweep solved as one stack."""
 
 from __future__ import annotations
 
@@ -8,42 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StationarityError
 from .model import CompactPlant
-from .numkernel import _lyapunov_stack, _schur_abscissa, expm
+from .numkernel import _lyapunov_stack, expm
 from .synthesis import SynthesisSolution
 
-__all__ = ["ClosedLoopModel", "CovarianceReport", "SweepRow", "build_closed_loop",
-           "smoothed_error_covariance", "delta_sweep", "write_sweep_csv"]
-
-
-@dataclass(frozen=True)
-class ClosedLoopModel:
-    """Stacked plant/estimator loop dX = Abold X dt + Bbold dW under a fixed
-    contraction Delta closing the uncertainty channels, delta2 its
-    measurement-nonlinearity level (Delta holds no entry of it when g = 0)."""
-
-    compact: CompactPlant
-    solution: SynthesisSolution
-    Abold: np.ndarray
-    Bbold: np.ndarray
-    Delta: np.ndarray
-    delta2: float = 0.0
-
-    def is_hurwitz(self) -> bool:
-        return bool(_schur_abscissa(self.Abold)[2] < 0)
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    """Stationary covariance P and lag transition matrix Phi over the states [x; x^],
-    and the smoothed (Psa) and filter-only (Pf) error covariances."""
-
-    P: np.ndarray
-    Phi: np.ndarray
-    Psa: np.ndarray
-    Pf: np.ndarray
-    delta2: float
+__all__ = ["SweepRow", "delta_sweep", "write_sweep_csv"]
 
 
 @dataclass(frozen=True)
@@ -90,19 +59,6 @@ def _loops(compact: CompactPlant, sol: SynthesisSolution, delta1: float, delta2:
     return abold, bbold, delta
 
 
-def build_closed_loop(compact: CompactPlant, sol: SynthesisSolution,
-                      delta1: float = 0.0, delta2: float = 0.0) -> ClosedLoopModel:
-    """Close the loop with Delta = diag(delta1 I(r_s, h_s) per channel s, delta2 I_2g).
-
-    delta1 scales the parametric-uncertainty channels, delta2 the
-    measurement-nonlinearity channel and its estimator copy.  Both must lie
-    in the unit interval in magnitude.
-    """
-    abold, bbold, delta = _loops(compact, sol, delta1, np.array([delta2], dtype=float))
-    return ClosedLoopModel(compact=compact, solution=sol, Abold=abold[0], Bbold=bbold,
-                           Delta=delta[0], delta2=float(delta2))
-
-
 def _covariances(compact: CompactPlant, sol: SynthesisSolution, abold: np.ndarray,
                  bbold: np.ndarray, lag: float):
     """Max Re eig of each loop in the stack `abold`, and P, Phi, Psa and Pf of its Hurwitz
@@ -110,7 +66,11 @@ def _covariances(compact: CompactPlant, sol: SynthesisSolution, abold: np.ndarra
     plant's delay states enter no other state and no readout, so the loop's eigenvalues
     are Fa's (the delay model's abscissa) and the [x; x^] block's, solved in reverse
     order: the estimator's fast delay states lead, and LAPACK's Schur form keeps more
-    digits of a matrix graded downward."""
+    digits of a matrix graded downward.
+
+        Psa = cw P cw' - ca Phi P cw' - (ca Phi P cw')' + ca P ca',   Pf = cf P cf'
+
+    with cw = [C0, 0], ca = [0, Ca], cf = [C0, -Cc] and Phi = e^(Abold lag)."""
     nbar, n, m = compact.plant.nbar, compact.n, compact.m
     keep = np.r_[:nbar, n:2 * n][::-1]
     cw = np.hstack([compact.plant.C0, np.zeros((m, n))])
@@ -122,29 +82,6 @@ def _covariances(compact: CompactPlant, sol: SynthesisSolution, abold: np.ndarra
     cross = ca @ phi @ p @ cw.T
     psa = cw @ p @ cw.T - cross - cross.swapaxes(1, 2) + ca @ p @ ca.T
     return abscissa, p[:, ::-1, ::-1], phi[:, ::-1, ::-1], psa, cf @ p @ cf.T
-
-
-def smoothed_error_covariance(loop: ClosedLoopModel, lag: float = None) -> CovarianceReport:
-    """Evaluate the stationary smoothed-error covariance.
-
-        Psa = cw P cw' - ca Phi P cw' - (ca Phi P cw')' + ca P ca'
-
-    over the plant and estimator states [x; x^], with cw = [C0, 0] selecting the
-    estimated plant output, ca = [0, Ca] the delayed readout of the estimator
-    state, and Phi = e^(Abold * lag).  The cross term is symmetrized so Psa is
-    symmetric by construction.  Also returns the filter-only error covariance
-    Pf built from the estimator output rows against C0.
-
-    Raises StationarityError when the loop is not Hurwitz.
-    """
-    if lag is None:
-        lag = loop.compact.aug.delay.delta
-    abscissa, p, phi, psa, pf = _covariances(loop.compact, loop.solution,
-                                             loop.Abold[None], loop.Bbold, lag)
-    if abscissa[0] >= 0:
-        raise StationarityError("closed loop is not Hurwitz; no stationary covariance "
-                                f"exists (max Re eig = {abscissa[0]:.6g})")
-    return CovarianceReport(P=p[0], Phi=phi[0], Psa=psa[0], Pf=pf[0], delta2=loop.delta2)
 
 
 def delta_sweep(compact: CompactPlant, sol: SynthesisSolution, grid,

@@ -41,7 +41,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import InfeasibleError, NumericalError, StationarityError
+from .errors import InfeasibleError, NumericalError
 
 __all__ = [
     "RiccatiProblem",
@@ -50,7 +50,6 @@ __all__ = [
     "care_residual",
     "care_threshold",
     "care_sensitivity",
-    "solve_lyapunov",
     "expm",
     "spectral_radius",
 ]
@@ -172,6 +171,8 @@ class RiccatiProblem:
         n = a.shape[0]
         if a.shape != (n, n) or q.shape != (n, n) or s.shape != (n, n):
             raise ValueError("A, Q, S must be square and of equal size")
+        if n == 0:
+            raise ValueError("A, Q, S must be at least 1 x 1, got 0 x 0")
         for name, mat in (("Q", q), ("S", s)):
             scale = 1.0 + np.abs(mat).max()
             if np.abs(mat - mat.T).max() > _SYM_TOL * scale:
@@ -350,27 +351,6 @@ def _lyapunov_stack(a: np.ndarray, w: np.ndarray, floor: float = -np.inf):
     if np.any(res > bound):
         raise NumericalError(f"Lyapunov residual too large: {res.max():.3e}")
     return abscissa, p
-
-
-def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve the continuous Lyapunov equation  A P + P A' + W = 0.
-
-    A must be Hurwitz; W symmetric.  Raises ValueError when A or W is not
-    finite, StationarityError when A is not Hurwitz (the stationary
-    covariance does not exist) and NumericalError when the residual exceeds
-    the accepted threshold.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    if a.shape != w.shape or a.shape[0] != a.shape[1]:
-        raise ValueError("A and W must be square matrices of equal size")
-    if not np.isfinite(w).all():
-        raise ValueError("W must not contain infs or NaNs")
-    abscissa, p = _lyapunov_stack(a[None], w)
-    if abscissa[0] >= 0:
-        raise StationarityError("matrix is not Hurwitz; stationary Lyapunov equation has no "
-                                f"solution (max Re eig = {abscissa[0]:.6g})")
-    return p[0]
 
 
 def _rowmax(x: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ already in place.  A step is one sine of the e and z rows into the sine
 rows and one product with a fixed (n+3)x(n+5) matrix W from entry j's
 [xhat; phi; sin e; sin z; dV; dW] to entry j + 1's [e; z; xhat; phi].  All
 but the two sines is linear, so W holds dybar's phihat dt term, psi's
--beta z term, the constants and the noise scales.  The sector count,
-phi(T - delta) and a trajectory are read per slab.  One pass yields all
+-beta z term, the constants and the noise scales.  The sector count
+and phi(T - delta) are read per slab.  One pass yields all
 READOUTS: Ca xhat(T) against phi(T - delta) and phi(T), and Cc xhat(T)
 against phi(T).
 
@@ -62,8 +62,8 @@ import numpy as np
 from .model import CompactPlant
 from .synthesis import SynthesisSolution
 
-__all__ = ["SimConfig", "RunResult", "MonteCarloReport", "READOUTS", "homodyne_loop",
-           "run_generator", "simulate_run", "monte_carlo", "sample_linear_loop"]
+__all__ = ["SimConfig", "MonteCarloReport", "READOUTS", "homodyne_loop",
+           "run_generator", "monte_carlo", "sample_linear_loop"]
 
 READOUTS = ("delayed", "undelayed", "filter")
 NOISE_BUDGET = 1 << 18      # run-steps per raw buffer: 4 MB of 2 draws, two shared buffers
@@ -142,14 +142,6 @@ def homodyne_loop(compact: CompactPlant) -> HomodyneLoop:
         raise ValueError("c1_nl = 2 alpha gamma must be nonzero")
     return HomodyneLoop(float(-p.A[0, 0]), float(p.B1[0, 0]), float(1.0 / p.D21[0, 1]),
                         float(p.C1_nl[0][0, 0]), compact.aug.delay.delta)
-
-
-@dataclass(frozen=True)
-class RunResult:
-    error: float
-    diverged: bool
-    sector_violations: int
-    trajectory: dict = None
 
 
 @dataclass(frozen=True)
@@ -281,12 +273,10 @@ def _step_matrix(cfg: SimConfig, loop: HomodyneLoop, gains: SynthesisSolution) -
     return np.vstack([top, to_ez @ top])
 
 
-def _integrate(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution, indices,
-               record_trajectory: bool = False):
+def _integrate(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution, indices):
     """Euler-Maruyama integration of the runs `indices` of the compact plant's
-    loop.  Returns the (3, runs) errors in READOUTS order, alive flags,
-    sector-violation counts and, when recorded, the first run's phi and
-    phihat after every step."""
+    loop.  Returns the (3, runs) errors in READOUTS order, alive flags and
+    sector-violation counts."""
     loop = homodyne_loop(compact)
     w = np.roll(_step_matrix(cfg, loop, gains), 2, axis=0)     # rows [e; z; xhat; phi]
     n = gains.Ac.shape[0]
@@ -301,7 +291,6 @@ def _integrate(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution, 
     alive = np.ones(width, dtype=bool)
     violations = np.zeros(width, dtype=np.int64)
     snap_at = cfg.nsteps - cfg.lag_steps(loop.delta)
-    traj = np.empty((2, cfg.nsteps)) if record_trajectory else None
 
     # diverging runs may overflow between guard checks; they are detected and
     # excluded there, so the arithmetic noise is expected
@@ -314,9 +303,6 @@ def _integrate(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution, 
             violations += np.count_nonzero(np.abs(slab[:m, 0]) > cfg.sector_limit, axis=0)
             if start <= snap_at < start + m:
                 np.copyto(phi_lag, slab[snap_at - start, n + 2])
-            if traj is not None:
-                traj[:, start:start + m] = (slab[1:m + 1, n + 2, 0],
-                                            _readout(cc, slab[1:m + 1, 2:n + 2, 0].T))
             if (start + m) % GUARD_STEPS == 0 or start + m == cfg.nsteps:
                 y = slab[m]
                 # a non-finite xhat gives a non-finite phihat, which fails the comparison
@@ -330,7 +316,7 @@ def _integrate(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution, 
         phi_lag = phi
     smoothed, filtered = _readout(gains.Ca[0], x), _readout(cc, x)
     errors = np.stack([smoothed - phi_lag, smoothed - phi, filtered - phi])
-    return errors[:, :nruns], alive[:nruns], violations[:nruns], traj
+    return errors[:, :nruns], alive[:nruns], violations[:nruns]
 
 
 def _report(errors, runs, diverged=0, violation_rate=0.0, keep_errors=True):
@@ -340,22 +326,6 @@ def _report(errors, runs, diverged=0, violation_rate=0.0, keep_errors=True):
     return MonteCarloReport(cov, se, int(sq.size), diverged, violation_rate,
                             healthy=diverged <= 0.01 * runs,
                             errors=errors if keep_errors else None)
-
-
-def simulate_run(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution,
-                 run_index: int = 0, record_trajectory: bool = False) -> RunResult:
-    """Integrate a single run of the compact plant's loop under the gains and
-    return its terminal error sample."""
-    cfg.validate()
-    errors, alive, violations, traj = _integrate(cfg, compact, gains, [run_index],
-                                                 record_trajectory)
-    return RunResult(
-        error=float(errors[READOUTS.index(cfg.readout), 0]),
-        diverged=not bool(alive[0]),
-        sector_violations=int(violations[0]),
-        trajectory=None if traj is None else {
-            "t": np.arange(1, cfg.nsteps + 1) * cfg.dt, "phi": traj[0], "phihat": traj[1]},
-    )
 
 
 def monte_carlo(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution,
@@ -372,7 +342,7 @@ def monte_carlo(cfg: SimConfig, compact: CompactPlant, gains: SynthesisSolution,
     cfg.validate()
     parts = []
     for indices in _batches(cfg.runs, cfg.batch):
-        parts.append(_integrate(cfg, compact, gains, indices)[:3])
+        parts.append(_integrate(cfg, compact, gains, indices))
         if progress is not None:
             progress(indices.stop, cfg.runs)
     errors, alive, violations = (np.concatenate(p, axis=-1) for p in zip(*parts))

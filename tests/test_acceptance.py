@@ -6,11 +6,12 @@ import time
 import numpy as np
 
 from rflsmooth import cli
-from rflsmooth.covariance import build_closed_loop, delta_sweep, smoothed_error_covariance
+from rflsmooth import covariance
+from rflsmooth.covariance import delta_sweep
 from rflsmooth.delay import pade_coefficients, pade_delay
 from rflsmooth.example import REFERENCE, phase_estimation_compact, reference_scaling_point
 from rflsmooth.model import UncertainPlant, augment_with_delay, build_compact
-from rflsmooth.numkernel import expm, solve_care, solve_lyapunov
+from rflsmooth.numkernel import _lyapunov_stack, expm, solve_care
 from rflsmooth.reproduce import matrix_check
 from rflsmooth.sim import SimConfig, monte_carlo, sample_linear_loop
 from rflsmooth.synthesis import ScalingPoint, compute_gains, feasible, minimize_bound
@@ -40,7 +41,7 @@ def test_criterion_1_gain_reproduction():
         and np.linalg.eigvalsh(sol.Y).min() > 0
         and np.linalg.eigvalsh(sol.X).min() >= -1e-12
         and sol.rho_yx < point.tau
-        and build_closed_loop(compact, sol).is_hurwitz()
+        and delta_sweep(compact, sol, [0.0])[0].hurwitz
     )
     matched = all(r["passed"] for r in results)
     detail = "; ".join(f"{r['name']} worst rel {r['worst_rel']:.2e}" if r["worst_rel"] is not None
@@ -147,7 +148,7 @@ def test_criterion_6_kernel_oracles():
         a = random_hurwitz(rng, 5)
         g = rng.standard_normal((5, 2))
         w = g @ g.T
-        p = solve_lyapunov(a, w)
+        p = _lyapunov_stack(a[None], w)[1][0]
         oracle = lyap_kron_oracle(a, w)
         worst_lyap = max(worst_lyap,
                          np.linalg.norm(p - oracle) / (1 + np.linalg.norm(oracle)))
@@ -198,13 +199,13 @@ def test_criterion_8_analytic_vs_empirical():
     aug = augment_with_delay(plant, pade_delay(1, lag))
     compact = build_compact(aug)
     sol = compute_gains(compact, ScalingPoint(lam=np.zeros(0), tau=20.0))
-    loop = build_closed_loop(compact, sol)
-    analytic = smoothed_error_covariance(loop).Psa[0, 0]
+    abold, bbold, _ = covariance._loops(compact, sol, 0.0, np.zeros(1))
+    analytic = delta_sweep(compact, sol, [0.0])[0].psa
 
     n = compact.n
     sel_est = np.hstack([np.zeros((1, n)), compact.aug.Ca])[0]
     sel_tgt = np.hstack([compact.aug.Cp0, np.zeros((1, n))])[0]
-    mc = sample_linear_loop(loop.Abold, loop.Bbold, sel_est, sel_tgt,
+    mc = sample_linear_loop(abold[0], bbold, sel_est, sel_tgt,
                             dt=2e-3, horizon=10.0, lag=lag,
                             runs=10000, master_seed=2024)
     dev = abs(mc.error_covariance - analytic) / mc.standard_error

@@ -6,18 +6,11 @@ import pytest
 import scipy.linalg as sla
 
 from rflsmooth import cli, covariance, numkernel, reproduce
-from rflsmooth.covariance import (
-    SweepRow,
-    build_closed_loop,
-    delta_sweep,
-    smoothed_error_covariance,
-    write_sweep_csv,
-)
+from rflsmooth.covariance import SweepRow, delta_sweep, write_sweep_csv
 from rflsmooth.delay import pade_delay
 from rflsmooth.errors import StationarityError, ToolkitError
 from rflsmooth.example import phase_estimation_compact
 from rflsmooth.model import UncertainPlant, augment_with_delay, build_compact
-from rflsmooth.numkernel import solve_lyapunov
 from rflsmooth.sim import sample_linear_loop
 from rflsmooth.synthesis import ScalingPoint, compute_gains
 
@@ -27,12 +20,14 @@ from test_synthesis import generated_case, into_lmi_set, realization_case, stabl
 
 @pytest.fixture(scope="module")
 def nominal_loop(paper_compact, paper_solution):
-    return build_closed_loop(paper_compact, paper_solution, delta2=0.0)
+    """Abold and Bbold of the loop closed at delta1 = delta2 = 0."""
+    abold, bbold, _ = covariance._loops(paper_compact, paper_solution, 0.0, np.zeros(1))
+    return abold[0], bbold
 
 
 def test_zero_delta_block_structure(paper_compact, paper_solution, nominal_loop):
     n = paper_compact.n
-    a = nominal_loop.Abold
+    a = nominal_loop[0]
     np.testing.assert_allclose(a[:n, :n], paper_compact.aug.Ap)
     np.testing.assert_allclose(a[:n, n:], 0.0, atol=1e-15)
     np.testing.assert_allclose(a[n:, :n], paper_solution.Bc_tilde @ paper_compact.Ct2)
@@ -41,57 +36,62 @@ def test_zero_delta_block_structure(paper_compact, paper_solution, nominal_loop)
 
 def test_noise_block(paper_compact, paper_solution, nominal_loop):
     n = paper_compact.n
-    np.testing.assert_allclose(nominal_loop.Bbold[:n], paper_compact.Bp1w)
-    np.testing.assert_allclose(nominal_loop.Bbold[n:],
+    np.testing.assert_allclose(nominal_loop[1][:n], paper_compact.Bp1w)
+    np.testing.assert_allclose(nominal_loop[1][n:],
                                paper_solution.Bc_tilde @ paper_compact.Db21)
 
 
 def test_delta_out_of_unit_ball(paper_compact, paper_solution):
-    with pytest.raises(ValueError):
-        build_closed_loop(paper_compact, paper_solution, delta2=-1.5)
+    with pytest.raises(ValueError, match=r"\|delta1\| <= 1, got -1.5"):
+        delta_sweep(paper_compact, paper_solution, [0.0], delta1=-1.5)
+    with pytest.raises(ValueError, match=r"\|delta2\| <= 1, got -1.5"):
+        covariance._loops(paper_compact, paper_solution, 0.0, np.array([-1.5]))
 
 
 def test_worst_case_hurwitz(paper_compact, paper_solution):
-    loop = build_closed_loop(paper_compact, paper_solution, delta2=-1.0)
-    assert loop.is_hurwitz()
+    assert delta_sweep(paper_compact, paper_solution, [-1.0])[0].hurwitz
 
 
 def test_structural_zero_top_right_block(paper_compact, paper_solution):
     """Bt1 Delta Dt12 Cc vanishes for any Delta here because the populated
     column of Bt1 multiplies only zero rows of Dt12."""
     n = paper_compact.n
-    loop = build_closed_loop(paper_compact, paper_solution, delta2=-0.7)
-    np.testing.assert_allclose(loop.Abold[:n, n:], 0.0, atol=1e-15)
+    abold = covariance._loops(paper_compact, paper_solution, 0.0, np.array([-0.7]))[0]
+    np.testing.assert_allclose(abold[0, :n, n:], 0.0, atol=1e-15)
 
 
-def test_covariance_psd_and_scalar(nominal_loop):
-    rep = smoothed_error_covariance(nominal_loop)
-    assert np.linalg.eigvalsh(rep.P).min() >= -1e-10 * np.linalg.norm(rep.P)
-    assert rep.Psa.shape == (1, 1)
-    assert rep.Psa[0, 0] >= 0
-    assert rep.Pf[0, 0] >= 0
-    np.testing.assert_allclose(rep.Psa, rep.Psa.T)
+def test_covariance_psd_and_scalar(paper_compact, paper_solution, nominal_loop):
+    abscissa, p, _, psa, pf = covariance._covariances(
+        paper_compact, paper_solution, nominal_loop[0][None], nominal_loop[1],
+        paper_compact.aug.delay.delta)
+    assert abscissa[0] < 0
+    assert np.linalg.eigvalsh(p[0]).min() >= -1e-10 * np.linalg.norm(p[0])
+    assert psa.shape == pf.shape == (1, 1, 1)
+    assert psa[0, 0, 0] >= 0
+    assert pf[0, 0, 0] >= 0
+    row = delta_sweep(paper_compact, paper_solution, [0.0])[0]
+    assert (row.psa, row.pf) == (psa[0, 0, 0], pf[0, 0, 0])
 
 
-def test_zero_lag_collapses_to_static_form(nominal_loop, paper_compact):
+def test_zero_lag_collapses_to_static_form(paper_compact, paper_solution, nominal_loop):
     """P and Phi cover the solved states [x; x^]: nbar + n of them."""
-    rep = smoothed_error_covariance(nominal_loop, lag=0.0)
+    _, p, phi, psa, _ = covariance._covariances(
+        paper_compact, paper_solution, nominal_loop[0][None], nominal_loop[1], lag=0.0)
     nbar, n = paper_compact.plant.nbar, paper_compact.n
     cw = np.hstack([paper_compact.plant.C0, np.zeros((1, n))])
     ca = np.hstack([np.zeros((1, nbar)), paper_compact.aug.Ca])
-    direct = (cw - ca) @ rep.P @ (cw - ca).T
-    np.testing.assert_allclose(rep.Psa, direct, rtol=1e-10)
-    np.testing.assert_allclose(rep.Phi, np.eye(nbar + n), atol=1e-12)
+    direct = (cw - ca) @ p[0] @ (cw - ca).T
+    np.testing.assert_allclose(psa[0], direct, rtol=1e-10)
+    np.testing.assert_allclose(phi[0], np.eye(nbar + n), atol=1e-12)
 
 
-def test_unstable_loop_raises(paper_compact, paper_solution):
-    loop = build_closed_loop(paper_compact, paper_solution, delta2=0.0)
-    flipped = type(loop)(
-        compact=loop.compact, solution=loop.solution,
-        Abold=-loop.Abold, Bbold=loop.Bbold, Delta=loop.Delta,
-    )
-    with pytest.raises(StationarityError):
-        smoothed_error_covariance(flipped)
+def test_unstable_loop_raises(monkeypatch, paper_solution):
+    """Gains whose loop is not Hurwitz leave no stationary covariance:
+    reproduce-paper ends with a StationarityError, not with NaN levels."""
+    broken = dataclasses.replace(paper_solution, Ac=-paper_solution.Ac)
+    monkeypatch.setattr(reproduce, "compute_gains", lambda *args: broken)
+    with pytest.raises(StationarityError, match="closed loop is not Hurwitz"):
+        reproduce.run_reproduction()
 
 
 @pytest.fixture(scope="module")
@@ -156,12 +156,13 @@ def test_lyapunov_matches_kronecker_oracle_on_closed_loops(params, reference_poi
     """Loop sizes 4-14 in the balanced realization, across the sweep range."""
     compact = phase_estimation_compact(params, order=order, realization="balanced")
     sol = compute_gains(compact, reference_point)
-    for d2 in (-1.0, -0.5, 0.0):
-        loop = build_closed_loop(compact, sol, delta2=d2)
-        w = loop.Bbold @ loop.Bbold.T
-        oracle = lyap_kron_oracle(loop.Abold, w)
-        err = np.linalg.norm(solve_lyapunov(loop.Abold, w) - oracle)
-        assert err <= 1e-10 * np.linalg.norm(oracle), (order, d2)
+    abold, bbold, _ = covariance._loops(compact, sol, 0.0, np.array([-1.0, -0.5, 0.0]))
+    w = bbold @ bbold.T
+    abscissa, p = numkernel._lyapunov_stack(abold, w)
+    assert np.all(abscissa < 0)
+    for a, pj, d2 in zip(abold, p, (-1.0, -0.5, 0.0)):
+        oracle = lyap_kron_oracle(a, w)
+        assert np.linalg.norm(pj - oracle) <= 1e-10 * np.linalg.norm(oracle), (order, d2)
 
 
 def test_sweep_point_is_one_schur_form(monkeypatch, paper_solution):
@@ -185,16 +186,15 @@ def test_sweep_point_is_one_schur_form(monkeypatch, paper_solution):
     rows = delta_sweep(compact, paper_solution, np.linspace(-1, 0, 7))
     assert all(r.hurwitz for r in rows)
     assert calls == {"_gees": 7 + 1, "expm": 1, "schur": 0, "eigvals": 0}
-    smoothed_error_covariance(build_closed_loop(compact, paper_solution))
+    delta_sweep(compact, paper_solution, [0.0])
     assert calls == {"_gees": 7 + 1 + 1, "expm": 2, "schur": 0, "eigvals": 0}
 
 
 @pytest.mark.parametrize("realization", ["paper", "balanced"])
 def test_reproduction_reads_its_own_sweep(monkeypatch, realization):
     """reproduce-paper takes both loop flags and the nominal levels from its
-    one sweep: one Lyapunov stack, one expm call and one loop stack (a loop
-    build or a single-loop covariance would add to these), and one eigenvalue
-    call, rho(YX)'s."""
+    one sweep: one Lyapunov stack, one expm call and one loop stack (a second
+    sweep would add to these), and one eigenvalue call, rho(YX)'s."""
     calls = {"eigvals": 0, "_lyapunov_stack": 0, "expm": 0, "_loops": 0}
     for module, name, key in ((numkernel, "_eigvals", "eigvals"),
                               (covariance, "_lyapunov_stack", "_lyapunov_stack"),
@@ -245,9 +245,10 @@ def test_solve_covers_plant_and_estimator_states_only(monkeypatch, params, refer
 
     monkeypatch.setattr(covariance, "_lyapunov_stack", recorded)
     rows = delta_sweep(compact, sol, np.linspace(-1.0, 0.0, 5))
-    rep = smoothed_error_covariance(build_closed_loop(compact, sol))
+    abold, bbold, _ = covariance._loops(compact, sol, 0.0, np.zeros(1))
+    _, p, phi, _, _ = covariance._covariances(compact, sol, abold, bbold, compact.aug.delay.delta)
     assert all(r.hurwitz for r in rows) and shapes == [(5, 8, 8), (1, 8, 8)]
-    assert rep.P.shape == rep.Phi.shape == (8, 8)
+    assert p.shape == phi.shape == (1, 8, 8)
 
 
 def test_unstable_delay_model_flags_every_row(paper_compact, paper_solution):
@@ -261,17 +262,15 @@ def test_unstable_delay_model_flags_every_row(paper_compact, paper_solution):
     rows = delta_sweep(compact, paper_solution, np.linspace(-1.0, 0.0, 5))
     assert not any(r.hurwitz for r in rows)
     assert all(np.isnan(r.psa) and np.isnan(r.pf) for r in rows)
-    loop = build_closed_loop(compact, paper_solution)
-    assert not loop.is_hurwitz()
-    with pytest.raises(StationarityError):
-        smoothed_error_covariance(loop)
+    abold = covariance._loops(compact, paper_solution, 0.0, np.linspace(-1.0, 0.0, 5))[0]
+    assert np.all(np.linalg.eigvals(abold).real.max(axis=1) > 0)
 
 
-def _oracle_levels(compact, sol, loop):
-    """(Psa, Pf) from SciPy's own Lyapunov solver and expm, with the size of
-    the terms they are formed from."""
-    p = sla.solve_continuous_lyapunov(loop.Abold, -loop.Bbold @ loop.Bbold.T)
-    phi = sla.expm(loop.Abold * compact.aug.delay.delta)
+def _oracle_levels(compact, sol, abold, bbold):
+    """(Psa, Pf) of the loop dX = Abold X dt + Bbold dW from SciPy's own Lyapunov
+    solver and expm, with the size of the terms they are formed from."""
+    p = sla.solve_continuous_lyapunov(abold, -bbold @ bbold.T)
+    phi = sla.expm(abold * compact.aug.delay.delta)
     n, m = compact.n, compact.m
     cw = np.hstack([compact.aug.Cp0, np.zeros((m, n))])
     ca = np.hstack([np.zeros((m, n)), compact.aug.Ca])
@@ -336,11 +335,10 @@ def test_lag_transition_against_40_digits(reference_point):
 
 def test_stacking_does_not_change_a_rows_bits():
     """On generated plants of every (k, g) class behind every delay order,
-    each row of a stacked sweep has the bits of a one-point sweep and of the
-    single-loop path, its abscissa and flag agree with the eigenvalues, and a
-    stable row agrees with SciPy's Lyapunov solver and expm; the single-loop
-    report gives the row's delta2, also where g = 0 and Delta holds no entry
-    of it.
+    each row of a stacked sweep has the bits of a one-point sweep, its delta2
+    included (also where g = 0 and Delta holds no entry of it), its abscissa
+    and flag agree with the eigenvalues, and a stable row agrees with SciPy's
+    Lyapunov solver and expm.
     `stable_case`'s (1, 0) and (0, 1) plants have a square feedthrough D, so
     no filter noise and no certified point; those classes come from plants
     with a two-wide uncertainty channel or with no physical measurement."""
@@ -360,21 +358,16 @@ def test_stacking_does_not_change_a_rows_bits():
             for d1 in (0.0, -0.6):
                 for row in delta_sweep(compact, sol, grid, delta1=d1):
                     assert repr(delta_sweep(compact, sol, [row.delta2], delta1=d1)) == repr([row])
-                    loop = build_closed_loop(compact, sol, delta1=d1, delta2=row.delta2)
-                    eigs = np.linalg.eigvals(loop.Abold)
+                    abold, bbold, _ = covariance._loops(compact, sol, d1, np.array([row.delta2]))
+                    eigs = np.linalg.eigvals(abold[0])
                     eig = eigs.real.max()
                     assert abs(row.abscissa - eig) <= 1e-12 * max(1.0, np.abs(eigs).max())
                     if abs(eig) > 1e-12:
                         assert row.hurwitz == (eig < 0), (seed, tau, d1, row)
                     if not row.hurwitz:
                         unstable += 1
-                        with pytest.raises(StationarityError):
-                            smoothed_error_covariance(loop)
                         continue
-                    rep = smoothed_error_covariance(loop)
-                    assert repr((float(rep.Psa[0, 0]), float(rep.Pf[0, 0]))) == repr((row.psa, row.pf))
-                    assert rep.delta2 == row.delta2
-                    psa, pf, scale = _oracle_levels(compact, sol, loop)
+                    psa, pf, scale = _oracle_levels(compact, sol, abold[0], bbold)
                     assert abs(row.psa - psa) <= 1e-8 * scale, (seed, tau, d1, row)
                     assert abs(row.pf - pf) <= 1e-8 * scale, (seed, tau, d1, row)
     assert len(classes) == 9 and orders == set(range(7)) and unstable > 0
@@ -404,8 +397,9 @@ def test_realization_changes_neither_bound_nor_sweep():
                     found.append(None)
                     continue
                 rows = delta_sweep(compact, sol, grid)
-                scales = [_oracle_levels(compact, sol, build_closed_loop(compact, sol, delta2=r.delta2))[2]
-                          if r.hurwitz else np.nan for r in rows]
+                abold, bbold, _ = covariance._loops(compact, sol, 0.0, grid)
+                scales = [_oracle_levels(compact, sol, a, bbold)[2] if r.hurwitz else np.nan
+                          for a, r in zip(abold, rows)]
                 found.append((sol.Vtau, rows, scales))
         for paper, balanced in zip(found[:2], found[2:]):
             if paper is None or balanced is None:
@@ -423,21 +417,19 @@ def test_realization_changes_neither_bound_nor_sweep():
 
 def test_rectangular_uncertainty_channel():
     """A channel with r_s = 2 inputs and h_s = 1 output closes with
-    Delta = delta1 I(2, 1), of norm |delta1|, and its rows agree with the
-    single-loop path and with SciPy's Lyapunov solver and expm.  Delta's last
-    entry is 0, and the report still gives the delta2 the loop was closed at."""
+    Delta = delta1 I(2, 1), of norm |delta1|, and its rows agree with a
+    one-point sweep and with SciPy's Lyapunov solver and expm.  Delta's last
+    entry is 0, and the one-point row still gives the delta2 it was closed at."""
     compact, _ = generated_case(np.random.default_rng(0), 1, 0, (), width=2, height=1)
     assert (compact.r, compact.h) == (2, 1)
     sol = compute_gains(compact, ScalingPoint(lam=into_lmi_set(compact, np.ones(1)), tau=1.0))
     rows = delta_sweep(compact, sol, np.linspace(-1.0, 0.0, 3), delta1=-0.6)
     assert all(row.hurwitz for row in rows)
     for row in rows:
-        loop = build_closed_loop(compact, sol, delta1=-0.6, delta2=row.delta2)
-        assert np.array_equal(loop.Delta, [[-0.6], [0.0]])
-        rep = smoothed_error_covariance(loop)
-        assert repr((float(rep.Psa[0, 0]), float(rep.Pf[0, 0]))) == repr((row.psa, row.pf))
-        assert rep.delta2 == row.delta2 and loop.delta2 == row.delta2
-        psa, pf, scale = _oracle_levels(compact, sol, loop)
+        abold, bbold, delta = covariance._loops(compact, sol, -0.6, np.array([row.delta2]))
+        assert np.array_equal(delta[0], [[-0.6], [0.0]])
+        assert repr(delta_sweep(compact, sol, [row.delta2], delta1=-0.6)) == repr([row])
+        psa, pf, scale = _oracle_levels(compact, sol, abold[0], bbold)
         assert abs(row.psa - psa) <= 1e-8 * scale and abs(row.pf - pf) <= 1e-8 * scale
 
 
@@ -449,14 +441,14 @@ def test_analytic_matches_linear_monte_carlo():
     aug = augment_with_delay(plant, pade_delay(1, 0.4))
     compact = build_compact(aug)
     sol = compute_gains(compact, ScalingPoint(lam=np.zeros(0), tau=20.0))
-    loop = build_closed_loop(compact, sol)
-    rep = smoothed_error_covariance(loop)
+    abold, bbold, _ = covariance._loops(compact, sol, 0.0, np.zeros(1))
+    analytic = delta_sweep(compact, sol, [0.0])[0].psa
 
     n = compact.n
     sel_est = np.hstack([np.zeros((1, n)), compact.aug.Ca])[0]
     sel_tgt = np.hstack([compact.aug.Cp0, np.zeros((1, n))])[0]
     mc = sample_linear_loop(
-        loop.Abold, loop.Bbold, sel_est, sel_tgt,
+        abold[0], bbold, sel_est, sel_tgt,
         dt=2e-3, horizon=10.0, lag=0.4, runs=3000, master_seed=11,
     )
-    assert abs(mc.error_covariance - rep.Psa[0, 0]) <= 3 * mc.standard_error
+    assert abs(mc.error_covariance - analytic) <= 3 * mc.standard_error

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from rflsmooth import numkernel
-from rflsmooth.errors import InfeasibleError, NumericalError, StationarityError
+from rflsmooth.errors import InfeasibleError, NumericalError
 from rflsmooth.numkernel import (
     RiccatiProblem,
     _lyap_schur,
@@ -18,7 +18,6 @@ from rflsmooth.numkernel import (
     care_sensitivity,
     expm,
     solve_care,
-    solve_lyapunov,
     spectral_radius,
 )
 
@@ -153,7 +152,9 @@ class TestRiccatiProblem:
             RiccatiProblem(a=np.eye(2), q=[[0.0, 1.0]], s=np.eye(2))
         with pytest.raises(ValueError, match="must be square and of equal size"):
             RiccatiProblem(a=np.array([1.0, 2.0]), q=np.eye(2), s=np.eye(2))
-        with pytest.raises(ValueError):           # an empty problem raises as it always did
+
+    def test_empty_problem_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 x 1, got 0 x 0"):
             RiccatiProblem(a=np.zeros((0, 0)), q=np.zeros((0, 0)), s=np.zeros((0, 0)))
 
     @pytest.mark.parametrize("name", ["Q", "S"])
@@ -335,36 +336,43 @@ class TestCare:
 
 
 class TestLyapunov:
+    """`_lyapunov_stack` on one-entry and mixed stacks, against closed forms and
+    independent solvers."""
+
     def test_scalar(self):
-        np.testing.assert_allclose(solve_lyapunov([[-1.0]], [[2.0]]), [[1.0]])
+        abscissa, p = _lyapunov_stack(np.array([[[-1.0]]]), np.array([[2.0]]))
+        assert np.array_equal(abscissa, [-1.0])
+        np.testing.assert_allclose(p, [[[1.0]]])
 
     def test_zero_rhs(self):
-        np.testing.assert_allclose(solve_lyapunov([[-1.0]], [[0.0]]), [[0.0]])
+        np.testing.assert_allclose(_lyapunov_stack(np.array([[[-1.0]]]), np.zeros((1, 1)))[1],
+                                   [[[0.0]]])
 
     def test_random_against_oracles(self):
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            a = random_hurwitz(rng, 5)
-            g = rng.standard_normal((5, 3))
-            w = g @ g.T
-            p = solve_lyapunov(a, w)
-            np.testing.assert_allclose(p, lyap_kron_oracle(a, w),
-                                       rtol=1e-10, atol=1e-12)
+        a = np.array([random_hurwitz(rng, 5) for _ in range(10)])
+        g = rng.standard_normal((10, 5, 3))
+        w = g @ g.swapaxes(1, 2)
+        abscissa, p = _lyapunov_stack(a, w)
+        assert np.all(abscissa < 0) and p.shape == (10, 5, 5)
+        for ai, wi, pi in zip(a, w, p):
+            np.testing.assert_allclose(pi, lyap_kron_oracle(ai, wi), rtol=1e-10, atol=1e-12)
             # independent dense Bartels-Stewart route
-            p_bs = sla.solve_continuous_lyapunov(a, -w)
-            np.testing.assert_allclose(p, p_bs, rtol=1e-9, atol=1e-11)
-            assert np.linalg.eigvalsh(p).min() >= -1e-10 * np.linalg.norm(p)
+            np.testing.assert_allclose(pi, sla.solve_continuous_lyapunov(ai, -wi),
+                                       rtol=1e-9, atol=1e-11)
+            assert np.linalg.eigvalsh(pi).min() >= -1e-10 * np.linalg.norm(pi)
 
-    def test_not_hurwitz_raises(self):
-        with pytest.raises(StationarityError):
-            solve_lyapunov([[1.0]], [[1.0]])
+    def test_not_hurwitz_flagged(self):
+        abscissa, p = _lyapunov_stack(np.array([[[1.0]]]), np.array([[1.0]]))
+        assert np.array_equal(abscissa, [1.0]) and p.shape == (0, 1, 1)
 
     @pytest.mark.parametrize("a", [[[0.1, 1.0], [-1.0, 0.1]], [[0.0, 1.0], [-1.0, 0.0]]],
                              ids=["complex-unstable", "imaginary-axis"])
-    def test_non_hurwitz_pair_raises_stationarity(self, a):
-        # one 2x2 block of the real Schur form; never NumericalError or LinAlgError
-        with pytest.raises(StationarityError, match="max Re eig"):
-            solve_lyapunov(a, np.eye(2))
+    def test_non_hurwitz_pair_flagged(self, a):
+        # one 2x2 block of the real Schur form, its real part read off the diagonal;
+        # the entry is left unsolved, never a NumericalError or LinAlgError
+        abscissa, p = _lyapunov_stack(np.array([a]), np.eye(2))
+        assert np.array_equal(abscissa, [a[0][0]]) and p.shape == (0, 2, 2)
 
     def test_schur_failure_is_numerical_error(self, monkeypatch):
         """LAPACK `gees` reporting no Schur form (info > 0) surfaces as the
@@ -377,19 +385,7 @@ class TestLyapunov:
 
         monkeypatch.setattr(numkernel, "_gees", failing)
         with pytest.raises(NumericalError, match="info 1"):
-            solve_lyapunov(-np.eye(3), np.eye(3))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("which", ["A", "W"])
-    def test_non_finite_input_raises(self, which, bad):
-        a, w = -np.eye(2), np.eye(2)
-        (a if which == "A" else w)[0, 1] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_lyapunov(a, w)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_lyapunov(np.eye(2) * -1, np.eye(3))
+            _lyapunov_stack(np.array([-np.eye(3)]), np.eye(3))
 
 
 class TestLyapunovStack:
@@ -408,7 +404,8 @@ class TestLyapunovStack:
         stable = [i for i, s in enumerate(schur) if s[2] < 0]
         assert len(stable) == 6 and p.shape == (6, n, n)
         for pj, i in zip(p, stable):
-            assert np.array_equal(pj, solve_lyapunov(a[i], w))
+            np.testing.assert_allclose(pj, sla.solve_continuous_lyapunov(a[i], -w),
+                                       rtol=1e-9, atol=1e-11 * np.linalg.norm(pj))
             assert np.array_equal(pj, _lyap_schur(schur[i][0][None], schur[i][1][None], w)[0])
 
     def test_all_unstable_stack(self):

@@ -18,7 +18,6 @@ from rflsmooth.sim import (
     monte_carlo,
     run_generator,
     sample_linear_loop,
-    simulate_run,
 )
 
 
@@ -64,40 +63,31 @@ def test_plant_of_other_shape_refused(paper_solution):
     two_outputs = dataclasses.replace(plant, C0=np.ones((2, 1)))
     compact = build_compact(augment_with_delay(two_outputs, identity_delay(2)))
     with pytest.raises(ValueError, match="one-state homodyne loop"):
-        simulate_run(SimConfig(dt=1e-7, horizon=5e-5), compact, paper_solution)
+        monte_carlo(SimConfig(dt=1e-7, horizon=5e-5, runs=1), compact, paper_solution)
 
 
 def test_zero_noise_equilibrium(fast_cfg, paper_solution):
     cfg = dataclasses.replace(fast_cfg, meas_noise_scale=0.0, runs=1)
-    res = simulate_run(cfg, loop_compact(kappa=0.0), paper_solution, run_index=0)
-    assert res.error == 0.0
-    assert not res.diverged
+    rep = monte_carlo(cfg, loop_compact(kappa=0.0), paper_solution, keep_errors=True)
+    assert rep.errors.tolist() == [0.0]
+    assert rep.runs_diverged == 0
 
 
 def test_run_determinism(fast_cfg, paper_compact, paper_solution):
-    a = simulate_run(fast_cfg, paper_compact, paper_solution, run_index=3)
-    b = simulate_run(fast_cfg, paper_compact, paper_solution, run_index=3)
-    assert a.error == b.error
+    a, b = (monte_carlo(fast_cfg, paper_compact, paper_solution, keep_errors=True)
+            for _ in range(2))
+    assert a.errors.shape == (4,) and np.array_equal(a.errors, b.errors)
 
 
 def test_distinct_runs_differ(fast_cfg, paper_compact, paper_solution):
-    a = simulate_run(fast_cfg, paper_compact, paper_solution, run_index=0)
-    b = simulate_run(fast_cfg, paper_compact, paper_solution, run_index=1)
-    assert a.error != b.error
-
-
-def test_trajectory_recording(fast_cfg, paper_compact, paper_solution):
-    res = simulate_run(fast_cfg, paper_compact, paper_solution, run_index=0,
-                       record_trajectory=True)
-    assert res.trajectory is not None
-    assert len(res.trajectory["phi"]) == fast_cfg.nsteps
+    rep = monte_carlo(fast_cfg, paper_compact, paper_solution, keep_errors=True)
+    assert len(set(rep.errors.tolist())) == fast_cfg.runs
 
 
 def test_single_run_report(fast_cfg, paper_compact, paper_solution):
-    cfg = dataclasses.replace(fast_cfg, runs=1)
-    rep = monte_carlo(cfg, paper_compact, paper_solution)
-    single = simulate_run(cfg, paper_compact, paper_solution, run_index=0)
-    np.testing.assert_allclose(rep.error_covariance, single.error ** 2)
+    rep = monte_carlo(dataclasses.replace(fast_cfg, runs=1), paper_compact, paper_solution)
+    four = monte_carlo(fast_cfg, paper_compact, paper_solution, keep_errors=True)
+    assert rep.error_covariance == four.errors[0] ** 2
     assert rep.standard_error == math.inf
     assert rep.healthy
 
@@ -113,7 +103,7 @@ def test_report_independent_of_batch_boundaries(fast_cfg, paper_compact, paper_s
 def per_run(cfg, compact, gains):
     """Every run's three errors, divergence flag and violation count, batch
     by batch as monte_carlo integrates them."""
-    parts = [sim._integrate(cfg, compact, gains, idx)[:3]
+    parts = [sim._integrate(cfg, compact, gains, idx)
              for idx in sim._batches(cfg.runs, cfg.batch)]
     return [np.concatenate(p, axis=-1) for p in zip(*parts)]
 
@@ -316,8 +306,8 @@ def test_divergence_guard_and_health(fast_cfg, paper_compact, paper_solution):
 
 def test_sector_violations_counted(fast_cfg, paper_solution):
     cfg = dataclasses.replace(fast_cfg, meas_noise_scale=0.0, phi0=2.5, runs=1)
-    res = simulate_run(cfg, loop_compact(kappa=0.0), paper_solution, run_index=0)
-    assert res.sector_violations > 0
+    rep = monte_carlo(cfg, loop_compact(kappa=0.0), paper_solution)
+    assert rep.sector_violation_rate > 0
 
 
 def test_sector_bound_holds_over_default_range(params):
@@ -347,7 +337,7 @@ def test_deterministic_convergence_order(paper_solution):
     def terminal(dt):
         cfg = SimConfig(dt=dt, horizon=4e-5, runs=1, meas_noise_scale=0.0, phi0=0.3,
                         estimator="ngcf")
-        return simulate_run(cfg, compact, paper_solution, run_index=0).error
+        return monte_carlo(cfg, compact, paper_solution, keep_errors=True).errors[0]
 
     e1, e2, e4 = terminal(4e-8), terminal(2e-8), terminal(1e-8)
     ratio = abs(e1 - e2) / abs(e2 - e4)
@@ -359,8 +349,8 @@ def test_linearized_loop_agrees_at_small_noise(paper_solution):
     regime and must track a linearized integrator driven by the same noise."""
     p = OpticalParameters(kappa=4.0, delta=0.0)
     cfg = SimConfig(dt=1e-8, horizon=2e-5, runs=1, master_seed=5, estimator="ngcf")
-    nonlinear = simulate_run(cfg, loop_compact(kappa=p.kappa, delta=p.delta), paper_solution,
-                             run_index=0)
+    nonlinear = monte_carlo(cfg, loop_compact(kappa=p.kappa, delta=p.delta), paper_solution,
+                            keep_errors=True).errors[0]
 
     # test-local linearized integrator: sin(e) -> e, copy output -> 0
     rng = run_generator(cfg.master_seed, 0)
@@ -382,4 +372,4 @@ def test_linearized_loop_agrees_at_small_noise(paper_solution):
         phi = phi - p.lambda_ou * phi * cfg.dt + math.sqrt(p.kappa) * dv
     linear_error = xhat @ cc - phi
     # the loops differ only through sin(e) - e, a cubic-in-e perturbation
-    assert abs(nonlinear.error - linear_error) <= e_max ** 3 + 1e-12
+    assert abs(nonlinear - linear_error) <= e_max ** 3 + 1e-12

@@ -11,7 +11,7 @@ from conftest import random_hurwitz
 from test_numkernel import assert_schurs_bits, ordered_schur_calls
 from rflsmooth import synthesis
 from rflsmooth.config import bundled_example_path, compact_from_config, load_config
-from rflsmooth.covariance import build_closed_loop, delta_sweep
+from rflsmooth.covariance import delta_sweep
 from rflsmooth.delay import identity_delay, pade_delay
 from rflsmooth.errors import CouplingError, InfeasibleError, ToolkitError
 from rflsmooth.example import REFERENCE, phase_estimation_compact, phase_estimation_plant
@@ -874,7 +874,7 @@ def assert_certified(compact, result):
     assert np.linalg.eigvalsh(sol.Y).min() > 0
     assert np.linalg.eigvalsh(sol.X).min() >= -1e-10 * (1.0 + np.linalg.norm(sol.X))
     assert spectral_radius(sol.Y @ sol.X) < result.point.tau
-    assert build_closed_loop(compact, sol).is_hurwitz()
+    assert delta_sweep(compact, sol, [0.0])[0].hurwitz
     return sol
 
 
